@@ -21,4 +21,5 @@ let () =
       Test_durability.suite;
       Test_migration.suite;
       Test_loadgen.suite;
+      Test_golden.suite;
     ]
