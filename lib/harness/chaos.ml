@@ -461,6 +461,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
   let sum f =
     List.fold_left (fun acc g -> acc + f (Api.get_info_group g)) 0 !handles
   in
+  let lf = Medium.faults c.Cluster.net in
   {
     seed;
     schedule = sched;
@@ -473,8 +474,8 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     retransmissions = sum (fun i -> i.Api.retransmissions);
     solicitations = sum (fun i -> i.Api.status_solicitations);
     resets = sum (fun i -> i.Api.resets_survived);
-    frames_lost = Medium.frames_lost c.Cluster.net;
-    partition_drops = Medium.partition_drops c.Cluster.net;
+    frames_lost = Link_faults.frames_lost lf;
+    partition_drops = Link_faults.partition_drops lf;
     queue_drops = Medium.queue_drops c.Cluster.net;
     rx_overflows =
       Array.fold_left
@@ -493,10 +494,10 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
          acc := !acc + Amoeba_flip.Flip.corrupt_dropped (Cluster.flip c i)
        done;
        !acc);
-    oneway_drops = Medium.oneway_drops c.Cluster.net;
-    cond_losses = Medium.cond_losses c.Cluster.net;
-    dups_injected = Medium.duplicates_injected c.Cluster.net;
-    corruptions_injected = Medium.corruptions_injected c.Cluster.net;
+    oneway_drops = Link_faults.oneway_drops lf;
+    cond_losses = Link_faults.cond_losses lf;
+    dups_injected = Link_faults.duplicates_injected lf;
+    corruptions_injected = Link_faults.corruptions_injected lf;
     batches_sent = sum (fun i -> i.Api.batches_sent);
     ops_per_batch_avg =
       (* batched-op totals reconstructed from each member's average *)

@@ -63,7 +63,7 @@ val run :
   ?msgs:int ->
   ?horizon:Time.t ->
   ?schedule:Fault.schedule ->
-  ?net:Amoeba_net.Ether.conditions ->
+  ?net:Amoeba_net.Link_faults.conditions ->
   ?fabric:Amoeba_net.Medium.spec ->
   ?pipeline:int ->
   ?ops_per_send:int ->

@@ -39,55 +39,63 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
       end
   | Pause i -> Machine.pause (Cluster.machine c i)
   | Resume i -> Machine.resume (Cluster.machine c i)
-  | Partition (a, b) -> Medium.partition c.Cluster.net a b
-  | Heal -> Medium.heal c.Cluster.net
+  | Partition (a, b) -> Link_faults.partition (Medium.faults c.Cluster.net) a b
+  | Heal -> Link_faults.heal (Medium.faults c.Cluster.net)
   | Loss_burst (rate, dur) ->
-      let prev = Medium.loss_rate c.Cluster.net in
-      Medium.set_loss_rate c.Cluster.net rate;
+      let lf = Medium.faults c.Cluster.net in
+      let prev = Link_faults.loss_rate lf in
+      Link_faults.set_loss_rate lf rate;
       ignore
         (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_loss_rate c.Cluster.net prev))
-  | Oneway (src, dst) -> Medium.cut_oneway c.Cluster.net ~src ~dst
+             Link_faults.set_loss_rate lf prev))
+  | Oneway (src, dst) ->
+      Link_faults.cut_oneway (Medium.faults c.Cluster.net) ~src ~dst
   | Burst (p_gb, p_bg, loss_bad, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.gilbert in
-      Medium.set_conditions e
+      let e = Medium.faults c.Cluster.net in
+      let prev = (Link_faults.conditions e).Link_faults.gilbert in
+      Link_faults.set_conditions e
         {
-          (Medium.conditions e) with
-          Medium.gilbert = Some { Medium.p_gb; p_bg; loss_good = 0.; loss_bad };
+          (Link_faults.conditions e) with
+          Link_faults.gilbert =
+            Some { Link_faults.p_gb; p_bg; loss_good = 0.; loss_bad };
         };
       ignore
         (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
              (* Restore only our own field, reading the then-current
                 conditions: overlapping condition bursts of different
                 kinds must compose, not clobber each other. *)
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.gilbert = prev }))
+             Link_faults.set_conditions e
+               { (Link_faults.conditions e) with Link_faults.gilbert = prev }))
   | Duplicate (prob, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.dup_prob in
-      Medium.set_conditions e { (Medium.conditions e) with Medium.dup_prob = prob };
+      let e = Medium.faults c.Cluster.net in
+      let prev = (Link_faults.conditions e).Link_faults.dup_prob in
+      Link_faults.set_conditions e
+        { (Link_faults.conditions e) with Link_faults.dup_prob = prob };
       ignore
         (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.dup_prob = prev }))
+             Link_faults.set_conditions e
+               { (Link_faults.conditions e) with Link_faults.dup_prob = prev }))
   | Jitter (ns, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.jitter_ns in
-      Medium.set_conditions e { (Medium.conditions e) with Medium.jitter_ns = ns };
+      let e = Medium.faults c.Cluster.net in
+      let prev = (Link_faults.conditions e).Link_faults.jitter_ns in
+      Link_faults.set_conditions e
+        { (Link_faults.conditions e) with Link_faults.jitter_ns = ns };
       ignore
         (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.jitter_ns = prev }))
+             Link_faults.set_conditions e
+               { (Link_faults.conditions e) with Link_faults.jitter_ns = prev }))
   | Corrupt (prob, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.corrupt_prob in
-      Medium.set_conditions e
-        { (Medium.conditions e) with Medium.corrupt_prob = prob };
+      let e = Medium.faults c.Cluster.net in
+      let prev = (Link_faults.conditions e).Link_faults.corrupt_prob in
+      Link_faults.set_conditions e
+        { (Link_faults.conditions e) with Link_faults.corrupt_prob = prob };
       ignore
         (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.corrupt_prob = prev }))
+             Link_faults.set_conditions e
+               {
+                 (Link_faults.conditions e) with
+                 Link_faults.corrupt_prob = prev;
+               }))
   | Power_cycle_all outage ->
       (* Total power loss: every machine — already-crashed ones
          included — is down for [outage], then power returns and all

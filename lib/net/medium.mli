@@ -20,21 +20,8 @@ type spec =
   | Shared  (** one CSMA/CD Ether segment — the paper's testbed *)
   | Switched of Switch.profile
 
-(** Re-exported from {!Ether} (type-equal), so condition records work
-    unchanged against either fabric. *)
-type gilbert = Ether.gilbert = {
-  p_gb : float;
-  p_bg : float;
-  loss_good : float;
-  loss_bad : float;
-}
-
-type conditions = Ether.conditions = {
-  gilbert : gilbert option;
-  dup_prob : float;
-  jitter_ns : int;
-  corrupt_prob : float;
-}
+type conditions = Link_faults.conditions
+(** Whole-net default link conditions, as {!Link_faults.conditions}. *)
 
 val clean : conditions
 
@@ -78,52 +65,17 @@ val port_id : port -> int
 
 val transmit : t -> port -> Frame.t -> [ `Sent | `Dropped ]
 
-(** {1 Fault injection} — dispatched to the underlying fabric; see
-    {!Ether} for the full semantics of each call. *)
+(** {1 Fault injection} *)
 
-val set_drop_fun : t -> (Frame.t -> bool) option -> unit
-
-val set_loss_rate : t -> float -> unit
-
-val loss_rate : t -> float
-
-val frames_lost : t -> int
-
-val partition : t -> int list -> int list -> unit
-
-val partition_pair : t -> int -> int -> unit
-
-val heal_pair : t -> int -> int -> unit
-
-val heal : t -> unit
-
-val partitioned : t -> int -> int -> bool
-
-val partition_drops : t -> int
-
-val cut_oneway : t -> src:int -> dst:int -> unit
-
-val heal_oneway : t -> src:int -> dst:int -> unit
-
-val oneway_cut : t -> src:int -> dst:int -> bool
-
-val oneway_drops : t -> int
+val faults : t -> Link_faults.t
+(** The fabric's fault model; see {!Link_faults} for the semantics,
+    which are the same on either fabric. *)
 
 val set_conditions : t -> conditions -> unit
+(** [Link_faults.set_conditions (faults t)]: the default conditions
+    for every link. *)
 
 val conditions : t -> conditions
-
-val set_link_conditions : t -> src:int -> dst:int -> conditions option -> unit
-
-val link_conditions : t -> src:int -> dst:int -> conditions option
-
-val cond_losses : t -> int
-
-val duplicates_injected : t -> int
-
-val corruptions_injected : t -> int
-
-val frames_jittered : t -> int
 
 (** {1 Statistics} *)
 

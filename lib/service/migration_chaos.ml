@@ -60,14 +60,7 @@ let target = [ 4; 5 ]  (* fresh hosts: neither shard places replicas there *)
 
 (* Same moderately-hostile profile as the chaos swarms: bursty
    Gilbert–Elliott loss, duplication, reordering jitter, corruption. *)
-let adversarial_net =
-  {
-    Medium.gilbert =
-      Some { Medium.p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
-    dup_prob = 0.05;
-    jitter_ns = Time.ms 2;
-    corrupt_prob = 0.01;
-  }
+let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
 
 let fabric_to_string = function
   | Medium.Shared -> "ether"

@@ -183,20 +183,7 @@ let test_loss_burst_repaired () =
 (* Persistent moderately-hostile conditions on every link for the
    whole active phase, under the same random schedules as the main
    swarm. *)
-let adversarial_net =
-  {
-    Amoeba_net.Medium.gilbert =
-      Some
-        {
-          Amoeba_net.Medium.p_gb = 0.01;
-          p_bg = 0.3;
-          loss_good = 0.002;
-          loss_bad = 0.4;
-        };
-    dup_prob = 0.05;
-    jitter_ns = Time.ms 2;
-    corrupt_prob = 0.01;
-  }
+let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
 
 let prop_adversarial_swarm =
   QCheck.Test.make
@@ -400,7 +387,7 @@ let test_resilient_sends_under_loss () =
          that no send exhausts its bounded retries (probe_retries
          attempts) under this seed — a send that loses every attempt
          legitimately errors with Sequencer_unreachable. *)
-      Medium.set_loss_rate cl.Cluster.net 0.12;
+      Link_faults.set_loss_rate (Medium.faults cl.Cluster.net) 0.12;
       List.iteri
         (fun i g ->
           Cluster.spawn cl (fun () ->
@@ -411,7 +398,7 @@ let test_resilient_sends_under_loss () =
               done))
         groups;
       Engine.sleep cl.Cluster.engine (Time.sec 5);
-      Medium.set_loss_rate cl.Cluster.net 0.;
+      Link_faults.set_loss_rate (Medium.faults cl.Cluster.net) 0.;
       ignore (check_ok "flush" (Api.send_to_group g1 (body "flush")));
       Engine.sleep cl.Cluster.engine (Time.sec 2);
       let streams = List.map message_bodies groups in
@@ -443,14 +430,14 @@ let test_partition_blocks_then_heals () =
   with_cluster 3 (fun cl ->
       let groups = build_auto_heal cl 3 in
       let g0 = List.hd groups and g2 = List.nth groups 2 in
-      Medium.partition cl.Cluster.net [ 2 ] [ 0; 1 ];
+      Link_faults.partition (Medium.faults cl.Cluster.net) [ 2 ] [ 0; 1 ];
       ignore (check_ok "cut send" (Api.send_to_group g0 (body "cut")));
       Engine.sleep cl.Cluster.engine (Time.ms 200);
       Alcotest.(check (list string)) "isolated member saw nothing" []
         (message_bodies g2);
       Alcotest.(check bool) "drops were counted" true
-        (Medium.partition_drops cl.Cluster.net > 0);
-      Medium.heal cl.Cluster.net;
+        (Link_faults.partition_drops (Medium.faults cl.Cluster.net) > 0);
+      Link_faults.heal (Medium.faults cl.Cluster.net);
       ignore (check_ok "healed send" (Api.send_to_group g0 (body "healed")));
       Engine.sleep cl.Cluster.engine (Time.sec 2);
       Alcotest.(check (list string))

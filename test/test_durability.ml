@@ -291,14 +291,7 @@ let test_state_transfer_resumption () =
 let power_cycle_schedule =
   [ { Fault.at = Time.ms 900; action = Fault.Power_cycle_all (Time.ms 250) } ]
 
-let adversarial_net =
-  {
-    Medium.gilbert =
-      Some { Medium.p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
-    dup_prob = 0.05;
-    jitter_ns = Time.ms 2;
-    corrupt_prob = 0.01;
-  }
+let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
 
 let run_power_cycle ~net ~seed () =
   let o =

@@ -170,7 +170,7 @@ let test_locate_retries_through_loss () =
   let got = ref 0 in
   Flip.register (flip w 1) b (fun _ -> incr got);
   let dropped = ref false in
-  Ether.set_drop_fun w.ether
+  Link_faults.set_drop_fun (Ether.faults w.ether)
     (Some
        (fun _ ->
          if !dropped then false
@@ -198,7 +198,7 @@ let test_lost_fragment_means_no_delivery () =
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:0 Packet.Empty));
       Engine.sleep w.eng (Time.ms 5);
       let frames = ref 0 in
-      Ether.set_drop_fun w.ether
+      Link_faults.set_drop_fun (Ether.faults w.ether)
         (Some
            (fun _ ->
              incr frames;
@@ -224,7 +224,7 @@ let test_duplicate_fragments_deliver_once () =
   Flip.register (flip w 1) b (fun _ -> incr got);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Ether.set_conditions w.ether { Ether.clean with Ether.dup_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:4_000 Packet.Empty));
       Engine.sleep w.eng (Time.ms 50));
   Engine.run w.eng;
@@ -243,14 +243,14 @@ let test_reordered_fragments_reassemble () =
   Flip.register (flip w 1) b (fun p -> sizes := p.Packet.size :: !sizes);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Ether.set_conditions w.ether { Ether.clean with Ether.jitter_ns = Time.ms 10 };
+      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.jitter_ns = Time.ms 10 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:8_000 Packet.Empty));
       Engine.sleep w.eng (Time.ms 100));
   Engine.run w.eng;
   Alcotest.(check (list int)) "one full-size delivery despite reordering"
     [ 8_000; 0 ] !sizes;
   Alcotest.(check bool) "the wire really did reorder" true
-    (Ether.frames_jittered w.ether > 0)
+    (Link_faults.frames_jittered (Ether.faults w.ether) > 0)
 
 let test_header_corruption_drops_whole_frame () =
   (* A 0-byte packet is all headers on the wire, so a flipped bit
@@ -263,7 +263,7 @@ let test_header_corruption_drops_whole_frame () =
   Flip.register (flip w 1) b (fun _ -> incr got);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Ether.set_conditions w.ether { Ether.clean with Ether.corrupt_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:0 Packet.Empty));
       Engine.sleep w.eng (Time.ms 20));
   Engine.run w.eng;
@@ -285,7 +285,7 @@ let test_payload_corruption_travels_wrapped () =
       | _ -> incr clean);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Ether.set_conditions w.ether { Ether.clean with Ether.corrupt_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
       for _ = 1 to 5 do
         ignore
           (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:1_400 Packet.Empty))
@@ -295,7 +295,7 @@ let test_payload_corruption_travels_wrapped () =
   Alcotest.(check int) "warm-up was the only clean delivery" 1 !clean;
   Alcotest.(check bool) "payload damage arrived wrapped" true (!wrapped > 0);
   Alcotest.(check int) "all five were injected" 5
-    (Ether.corruptions_injected w.ether);
+    (Link_faults.corruptions_injected (Ether.faults w.ether));
   Alcotest.(check int) "every copy was wrapped or dropped" 5
     (!wrapped + Flip.corrupt_dropped (flip w 1))
 
@@ -314,7 +314,7 @@ let test_stale_reassembly_entries_purged () =
       (* Drop every second data fragment: each 2-fragment packet loses
          its tail and leaves a partial entry. *)
       let data_frames = ref 0 in
-      Ether.set_drop_fun w.ether
+      Link_faults.set_drop_fun (Ether.faults w.ether)
         (Some
            (fun f ->
              match Flip.packet_of_frame f with

@@ -230,7 +230,7 @@ let test_checkpoint_restore_under_hostile_net () =
   Cluster.spawn cl (fun () ->
       Medium.set_conditions cl.Cluster.net
         {
-          Medium.gilbert =
+          Link_faults.gilbert =
             Some { p_gb = 0.02; p_bg = 0.3; loss_good = 0.01; loss_bad = 0.5 };
           dup_prob = 0.05;
           jitter_ns = Time.ms 2;
@@ -335,7 +335,7 @@ let prop_rsm_agreement_under_loss =
                 Result.get_ok (R.join (Cluster.flip cl (i + 1)) (R.address r0)))
           in
           let rs = r0 :: rest in
-          Amoeba_net.Medium.set_loss_rate cl.Cluster.net 0.03;
+          Amoeba_net.Link_faults.set_loss_rate (Amoeba_net.Medium.faults cl.Cluster.net) 0.03;
           List.iteri
             (fun i r ->
               Cluster.spawn cl (fun () ->
@@ -344,7 +344,7 @@ let prop_rsm_agreement_under_loss =
                   done))
             rs;
           Engine.sleep cl.Cluster.engine (Time.sec 60);
-          Amoeba_net.Medium.set_loss_rate cl.Cluster.net 0.;
+          Amoeba_net.Link_faults.set_loss_rate (Amoeba_net.Medium.faults cl.Cluster.net) 0.;
           ignore (R.submit r0 424242);
           Engine.sleep cl.Cluster.engine (Time.sec 10);
           let states = List.map (fun r -> (R.state r).Log_app.entries) rs in

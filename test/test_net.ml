@@ -271,7 +271,7 @@ let test_oneway_cut_is_directed () =
   let p0 = Ether.attach ether ~rx:(fun f -> got := (0, f) :: !got) in
   let p1 = Ether.attach ether ~rx:(fun f -> got := (1, f) :: !got) in
   ignore p0;
-  Ether.cut_oneway ether ~src:0 ~dst:1;
+  Link_faults.cut_oneway (Ether.faults ether) ~src:0 ~dst:1;
   Engine.spawn eng (fun () ->
       ignore (Ether.transmit ether p0 (frame ~src:0 ~dest:(Frame.Unicast 1) 1));
       ignore (Ether.transmit ether p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 2)));
@@ -279,12 +279,12 @@ let test_oneway_cut_is_directed () =
   (* 0 -> 1 suppressed, 1 -> 0 delivered: the deaf side still hears. *)
   Alcotest.(check (list int)) "only the reverse path delivers" [ 0 ]
     (List.map fst !got);
-  Alcotest.(check int) "directed drop counted" 1 (Ether.oneway_drops ether);
+  Alcotest.(check int) "directed drop counted" 1 (Link_faults.oneway_drops (Ether.faults ether));
   Alcotest.(check bool) "cut is queryable" true
-    (Ether.oneway_cut ether ~src:0 ~dst:1
-    && not (Ether.oneway_cut ether ~src:1 ~dst:0));
-  Ether.heal_oneway ether ~src:0 ~dst:1;
-  Alcotest.(check bool) "healed" false (Ether.oneway_cut ether ~src:0 ~dst:1)
+    (Link_faults.oneway_cut (Ether.faults ether) ~src:0 ~dst:1
+    && not (Link_faults.oneway_cut (Ether.faults ether) ~src:1 ~dst:0));
+  Link_faults.heal_oneway (Ether.faults ether) ~src:0 ~dst:1;
+  Alcotest.(check bool) "healed" false (Link_faults.oneway_cut (Ether.faults ether) ~src:0 ~dst:1)
 
 let test_gilbert_bursty_loss () =
   (* A channel that enters the bad state on the first frame and never
@@ -297,32 +297,32 @@ let test_gilbert_bursty_loss () =
   let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
   let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
   let burst g =
-    { Ether.clean with Ether.gilbert = Some g }
+    { Link_faults.clean with Link_faults.gilbert = Some g }
   in
-  Ether.set_conditions ether
-    (burst { Ether.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
+  Link_faults.set_conditions (Ether.faults ether)
+    (burst { Link_faults.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
   Engine.spawn eng (fun () ->
       for i = 1 to 5 do
         ignore
           (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
       done;
       (* Same channel shape, but the bad state is unreachable. *)
-      Ether.set_conditions ether
-        (burst { Ether.p_gb = 0.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
+      Link_faults.set_conditions (Ether.faults ether)
+        (burst { Link_faults.p_gb = 0.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
       for i = 6 to 10 do
         ignore
           (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
       done);
   Engine.run eng;
   Alcotest.(check int) "bad state swallows all, good state none" 5 !got;
-  Alcotest.(check int) "losses counted" 5 (Ether.cond_losses ether)
+  Alcotest.(check int) "losses counted" 5 (Link_faults.cond_losses (Ether.faults ether))
 
 let test_duplication_delivers_twice () =
   let eng, _, ether = make_world () in
   let got = ref 0 in
   let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
   let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.dup_prob = 1.0 };
+  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
   Engine.spawn eng (fun () ->
       for i = 1 to 3 do
         ignore
@@ -330,7 +330,7 @@ let test_duplication_delivers_twice () =
       done);
   Engine.run eng;
   Alcotest.(check int) "every frame arrives twice" 6 !got;
-  Alcotest.(check int) "duplicates counted" 3 (Ether.duplicates_injected ether)
+  Alcotest.(check int) "duplicates counted" 3 (Link_faults.duplicates_injected (Ether.faults ether))
 
 let test_jitter_can_reorder () =
   (* With delivery jitter far larger than the inter-frame gap, a long
@@ -343,7 +343,7 @@ let test_jitter_can_reorder () =
         match f.Frame.body with Tag i -> order := i :: !order | _ -> ())
   in
   let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.jitter_ns = Time.ms 10 };
+  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.jitter_ns = Time.ms 10 };
   Engine.spawn eng (fun () ->
       for i = 1 to 12 do
         ignore
@@ -358,14 +358,14 @@ let test_jitter_can_reorder () =
   Alcotest.(check bool) "arrival order differs from send order" true
     (order <> List.init 12 (fun i -> i + 1));
   Alcotest.(check bool) "jittered deliveries counted" true
-    (Ether.frames_jittered ether > 0)
+    (Link_faults.frames_jittered (Ether.faults ether) > 0)
 
 let test_corruption_wraps_body () =
   let eng, _, ether = make_world () in
   let got = ref [] in
   let _p0 = Ether.attach ether ~rx:(fun f -> got := f :: !got) in
   let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.corrupt_prob = 1.0 };
+  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
   Engine.spawn eng (fun () ->
       ignore
         (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 9)));
@@ -378,7 +378,7 @@ let test_corruption_wraps_body () =
             (byte >= 0 && byte < f.Frame.size_on_wire)
       | _ -> Alcotest.fail "body not wrapped as Corrupted")
   | _ -> Alcotest.fail "expected exactly one delivery");
-  Alcotest.(check int) "corruption counted" 1 (Ether.corruptions_injected ether)
+  Alcotest.(check int) "corruption counted" 1 (Link_faults.corruptions_injected (Ether.faults ether))
 
 let test_per_link_conditions_override_default () =
   (* Conditions are per directed link: a total-loss override on
@@ -391,12 +391,12 @@ let test_per_link_conditions_override_default () =
   let _p2 = Ether.attach ether ~rx:(fun _ -> got := 2 :: !got) in
   let total_loss =
     {
-      Ether.clean with
-      Ether.gilbert =
-        Some { Ether.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
+      Link_faults.clean with
+      Link_faults.gilbert =
+        Some { Link_faults.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
     }
   in
-  Ether.set_link_conditions ether ~src:1 ~dst:0 (Some total_loss);
+  Link_faults.set_link_conditions (Ether.faults ether) ~src:1 ~dst:0 (Some total_loss);
   Engine.spawn eng (fun () ->
       for i = 1 to 3 do
         ignore
@@ -405,26 +405,26 @@ let test_per_link_conditions_override_default () =
   Engine.run eng;
   Alcotest.(check (list int)) "only the clean link delivers" [ 2; 2; 2 ] !got;
   Alcotest.(check bool) "override queryable" true
-    (Ether.link_conditions ether ~src:1 ~dst:0 = Some total_loss
-    && Ether.link_conditions ether ~src:1 ~dst:2 = None);
-  Ether.set_link_conditions ether ~src:1 ~dst:0 None;
+    (Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:0 = Some total_loss
+    && Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:2 = None);
+  Link_faults.set_link_conditions (Ether.faults ether) ~src:1 ~dst:0 None;
   Alcotest.(check bool) "override removed" true
-    (Ether.link_conditions ether ~src:1 ~dst:0 = None)
+    (Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:0 = None)
 
 let test_conditions_clear_restores_fast_path () =
   let eng, _, ether = make_world () in
   let got = ref 0 in
   let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
   let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.dup_prob = 1.0 };
-  Ether.set_conditions ether Ether.clean;
+  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
+  Link_faults.set_conditions (Ether.faults ether) Link_faults.clean;
   Engine.spawn eng (fun () ->
       ignore
         (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 1)));
   Engine.run eng;
   Alcotest.(check int) "clean again: one copy" 1 !got;
   Alcotest.(check int) "no residual duplication" 0
-    (Ether.duplicates_injected ether)
+    (Link_faults.duplicates_injected (Ether.faults ether))
 
 let test_excessive_collisions_drop () =
   (* A medium jammed by an adversarial filter never lets anyone win:

@@ -175,9 +175,9 @@ let test_expelled_member_can_rejoin () =
       Engine.sleep cl.Cluster.engine (Time.ms 100);
       Machine.crash (Cluster.machine cl 0);
       (* Member 2 is silenced and gets expelled by the recovery. *)
-      Medium.set_drop_fun cl.Cluster.net (Some (fun f -> f.Frame.src = 2));
+      Link_faults.set_drop_fun (Medium.faults cl.Cluster.net) (Some (fun f -> f.Frame.src = 2));
       ignore (check_ok "reset" (Api.reset_group g1 ~min_members:1));
-      Medium.set_drop_fun cl.Cluster.net None;
+      Link_faults.set_drop_fun (Medium.faults cl.Cluster.net) None;
       ignore (check_ok "tick" (Api.send_to_group g1 (body "tick")));
       Engine.sleep cl.Cluster.engine (Time.sec 3);
       Alcotest.(check bool) "old handle dead" false (Kernel.alive (Api.kernel g2));

@@ -212,14 +212,7 @@ let test_isolation_clean () = run_isolation ~conditions:Medium.clean ()
 
 let test_isolation_adversarial () =
   run_isolation
-    ~conditions:
-      {
-        Medium.gilbert =
-          Some { p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
-        dup_prob = 0.05;
-        jitter_ns = Time.ms 2;
-        corrupt_prob = 0.01;
-      }
+    ~conditions:(List.assoc "adversarial" Medium.condition_profiles)
     ()
 
 (* ---------- service end-to-end ---------- *)
