@@ -28,8 +28,51 @@ let sort sched = List.stable_sort (fun a b -> compare a.at b.at) sched
 
 (* ----- execution ----- *)
 
-let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
+(* A bounded burst overrides one network knob for its duration.  While
+   bursts of one kind overlap, the most recently started one still
+   active sets the knob; when the last one ends, the value from before
+   the first one returns.  (Each burst restoring what it saw at its own
+   start would leak: a burst that starts inside another and outlives
+   it would reinstall the first one's value for good.)  Each setter
+   reads the then-current conditions and replaces only its own field,
+   so bursts of different kinds compose. *)
+type knob = {
+  mutable restore : unit -> unit;  (** reinstalls the pre-burst value *)
+  mutable active : (unit -> unit) list;  (** installers, newest first *)
+}
+
+let override knobs c kind ~dur ~get ~set v =
+  let k =
+    match Hashtbl.find_opt knobs kind with
+    | Some k -> k
+    | None ->
+        let k = { restore = ignore; active = [] } in
+        Hashtbl.add knobs kind k;
+        k
+  in
+  (match k.active with
+  | [] ->
+      let prev = get () in
+      k.restore <- (fun () -> set prev)
+  | _ :: _ -> ());
+  let install () = set v in
+  k.active <- install :: k.active;
+  install ();
+  ignore
+    (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
+         k.active <- List.filter (fun f -> f != install) k.active;
+         match k.active with [] -> k.restore () | newest :: _ -> newest ()))
+
+let fire knobs ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
     ?(on_power_up = fun () -> ()) (c : Cluster.t) action =
+  let lf = Medium.faults c.Cluster.net in
+  let cond kind ~dur field update v =
+    override knobs c kind ~dur
+      ~get:(fun () -> field (Link_faults.conditions lf))
+      ~set:(fun x ->
+        Link_faults.set_conditions lf (update (Link_faults.conditions lf) x))
+      v
+  in
   match action with
   | Crash i -> Machine.crash (Cluster.machine c i)
   | Restart i ->
@@ -39,63 +82,33 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
       end
   | Pause i -> Machine.pause (Cluster.machine c i)
   | Resume i -> Machine.resume (Cluster.machine c i)
-  | Partition (a, b) -> Link_faults.partition (Medium.faults c.Cluster.net) a b
-  | Heal -> Link_faults.heal (Medium.faults c.Cluster.net)
+  | Partition (a, b) -> Link_faults.partition lf a b
+  | Heal -> Link_faults.heal lf
   | Loss_burst (rate, dur) ->
-      let lf = Medium.faults c.Cluster.net in
-      let prev = Link_faults.loss_rate lf in
-      Link_faults.set_loss_rate lf rate;
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Link_faults.set_loss_rate lf prev))
-  | Oneway (src, dst) ->
-      Link_faults.cut_oneway (Medium.faults c.Cluster.net) ~src ~dst
+      override knobs c "loss" ~dur
+        ~get:(fun () -> Link_faults.loss_rate lf)
+        ~set:(Link_faults.set_loss_rate lf) rate
+  | Oneway (src, dst) -> Link_faults.cut_oneway lf ~src ~dst
   | Burst (p_gb, p_bg, loss_bad, dur) ->
-      let e = Medium.faults c.Cluster.net in
-      let prev = (Link_faults.conditions e).Link_faults.gilbert in
-      Link_faults.set_conditions e
-        {
-          (Link_faults.conditions e) with
-          Link_faults.gilbert =
-            Some { Link_faults.p_gb; p_bg; loss_good = 0.; loss_bad };
-        };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             (* Restore only our own field, reading the then-current
-                conditions: overlapping condition bursts of different
-                kinds must compose, not clobber each other. *)
-             Link_faults.set_conditions e
-               { (Link_faults.conditions e) with Link_faults.gilbert = prev }))
+      cond "burst" ~dur
+        (fun c -> c.Link_faults.gilbert)
+        (fun c g -> { c with gilbert = g })
+        (Some { Link_faults.p_gb; p_bg; loss_good = 0.; loss_bad })
   | Duplicate (prob, dur) ->
-      let e = Medium.faults c.Cluster.net in
-      let prev = (Link_faults.conditions e).Link_faults.dup_prob in
-      Link_faults.set_conditions e
-        { (Link_faults.conditions e) with Link_faults.dup_prob = prob };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Link_faults.set_conditions e
-               { (Link_faults.conditions e) with Link_faults.dup_prob = prev }))
+      cond "dup" ~dur
+        (fun c -> c.Link_faults.dup_prob)
+        (fun c p -> { c with dup_prob = p })
+        prob
   | Jitter (ns, dur) ->
-      let e = Medium.faults c.Cluster.net in
-      let prev = (Link_faults.conditions e).Link_faults.jitter_ns in
-      Link_faults.set_conditions e
-        { (Link_faults.conditions e) with Link_faults.jitter_ns = ns };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Link_faults.set_conditions e
-               { (Link_faults.conditions e) with Link_faults.jitter_ns = prev }))
+      cond "jitter" ~dur
+        (fun c -> c.Link_faults.jitter_ns)
+        (fun c j -> { c with jitter_ns = j })
+        ns
   | Corrupt (prob, dur) ->
-      let e = Medium.faults c.Cluster.net in
-      let prev = (Link_faults.conditions e).Link_faults.corrupt_prob in
-      Link_faults.set_conditions e
-        { (Link_faults.conditions e) with Link_faults.corrupt_prob = prob };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Link_faults.set_conditions e
-               {
-                 (Link_faults.conditions e) with
-                 Link_faults.corrupt_prob = prev;
-               }))
+      cond "corrupt" ~dur
+        (fun c -> c.Link_faults.corrupt_prob)
+        (fun c p -> { c with corrupt_prob = p })
+        prob
   | Power_cycle_all outage ->
       (* Total power loss: every machine — already-crashed ones
          included — is down for [outage], then power returns and all
@@ -116,12 +129,13 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
 
 let apply ?on_restart ?on_power_down ?on_power_up c sched =
   let now = Cluster.now c in
+  let knobs = Hashtbl.create 5 in
   List.iter
     (fun { at; action } ->
       ignore
         (Engine.schedule c.Cluster.engine
            ~after:(max 0 (at - now))
-           (fun () -> fire ?on_restart ?on_power_down ?on_power_up c action)))
+           (fun () -> fire knobs ?on_restart ?on_power_down ?on_power_up c action)))
     sched
 
 (* ----- random schedules ----- *)

@@ -23,16 +23,18 @@ type action =
       (** cut the Ethernet between two sets of station ids *)
   | Heal  (** remove all partition cuts *)
   | Loss_burst of float * Time.t
-      (** [(rate, dur)]: random frame loss at [rate] for [dur], then
-          the previous loss rate is restored *)
+      (** [(rate, dur)]: random frame loss at [rate] for [dur].  Like
+          every bounded burst below: while bursts of one kind overlap,
+          the most recently started one still active sets the value;
+          when the last one ends, the value from before the first
+          returns *)
   | Oneway of int * int
       (** [(src, dst)]: directed cut — frames from station [src] never
           reach [dst] while the reverse path stays up.  Removed by
           [Heal], like partitions. *)
   | Burst of float * float * float * Time.t
       (** [(p_gb, p_bg, loss_bad, dur)]: Gilbert–Elliott correlated
-          loss on every link for [dur] (good-state loss 0), then the
-          previous condition is restored *)
+          loss on every link for [dur] (good-state loss 0) *)
   | Duplicate of float * Time.t
       (** [(prob, dur)]: each delivered frame arrives twice with
           probability [prob] *)

@@ -180,6 +180,49 @@ let test_loss_burst_repaired () =
   Alcotest.(check bool) "the burst lost frames" true (o.Chaos.cond_losses > 0);
   Alcotest.(check bool) "nacks repaired the gaps" true (o.Chaos.nacks > 0)
 
+(* Regression: two bursts of one kind that overlap staggered (the
+   second starts inside the first and outlives it) used to leave the
+   first burst's value installed for good, because each burst restored
+   what it saw at its own start.  While bursts overlap the newest sets
+   the value; after the last ends, the pre-burst value returns. *)
+let test_overlapping_bursts_restore () =
+  let ms = Time.ms in
+  let cl = Cluster.create ~n:2 () in
+  let lf = Medium.faults cl.Cluster.net in
+  Link_faults.set_loss_rate lf 0.05;
+  let stagger a b = [ step (ms 100) a; step (ms 300) b ] in
+  Fault.apply cl
+    (stagger (Fault.Loss_burst (0.1, ms 300)) (Fault.Loss_burst (0.2, ms 500))
+    @ stagger (Fault.Duplicate (0.1, ms 300)) (Fault.Duplicate (0.2, ms 500))
+    @ stagger (Fault.Jitter (1000, ms 300)) (Fault.Jitter (2000, ms 500))
+    @ stagger (Fault.Corrupt (0.1, ms 300)) (Fault.Corrupt (0.2, ms 500))
+    @ stagger
+        (Fault.Burst (0.1, 0.5, 0.5, ms 300))
+        (Fault.Burst (0.2, 0.5, 0.5, ms 500))
+    (* nested: the outer value comes back when the inner ends *)
+    @ [
+        step (ms 1000) (Fault.Loss_burst (0.3, ms 600));
+        step (ms 1100) (Fault.Loss_burst (0.4, ms 200));
+      ]);
+  let expect label loss dup jitter =
+    Alcotest.(check (float 0.)) (label ^ ": loss") loss (Link_faults.loss_rate lf);
+    let c = Link_faults.conditions lf in
+    Alcotest.(check (float 0.)) (label ^ ": dup") dup c.Link_faults.dup_prob;
+    Alcotest.(check int) (label ^ ": jitter") jitter c.Link_faults.jitter_ns
+  in
+  Cluster.run ~until:(ms 350) cl;
+  expect "both active" 0.2 0.2 2000;
+  Cluster.run ~until:(ms 500) cl;
+  expect "first ended, second active" 0.2 0.2 2000;
+  Cluster.run ~until:(ms 900) cl;
+  expect "both ended" 0.05 0. 0;
+  Alcotest.(check bool) "conditions clean again" true
+    (Link_faults.conditions lf = Link_faults.clean);
+  Cluster.run ~until:(ms 1400) cl;
+  expect "inner nested ended" 0.3 0. 0;
+  Cluster.run ~until:(ms 2000) cl;
+  expect "outer nested ended" 0.05 0. 0
+
 (* Persistent moderately-hostile conditions on every link for the
    whole active phase, under the same random schedules as the main
    swarm. *)
@@ -570,6 +613,8 @@ let suite =
       tc "corruption caught by checksums" test_corruption_caught_by_checksums;
       tc "one-way cut survived" test_oneway_cut_survived;
       tc "loss burst repaired" test_loss_burst_repaired;
+      tc "overlapping bursts restore the pre-burst net"
+        test_overlapping_bursts_restore;
       tc "multi-group invariants hold per group"
         test_multigroup_invariants_per_group;
       tc "ghost sequencer after a missed reset"

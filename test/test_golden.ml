@@ -97,18 +97,18 @@ let pinned =
     ("random ether seed 1", "69f49301eda326aeb90237e565681609");
     ("random ether seed 2", "d33603fc124bb571a71b3503da8d181a");
     ("random ether seed 3", "2fd196bda40d5f9e451aae4215022d4d");
-    ("random ether seed 35", "59c11bb89c26d12dc9a4595f5f08fcb8");
-    ("random ether seed 50", "39280f39fac225a32bfd2c263c2c2fc0");
+    ("random ether seed 35", "1b2951323655934ca60297acb014fe10");
+    ("random ether seed 50", "778605ae0a13acbeedbf7fc8ad0f1af7");
     ("random switch seed 1", "3e4c8dc27590e6d02b99e98c06df6ada");
     ("random switch seed 2", "a57d7c6b468703a15e8d070daf041e6d");
     ("random switch seed 3", "5e38e5c506718f78edc5e17a8fb41760");
-    ("random switch seed 35", "b2859167707638f68947550ec8120cb0");
-    ("random switch seed 50", "36638a32acde36adec6d326828159fe8");
+    ("random switch seed 35", "40217690e14f4bebc7091126531e6241");
+    ("random switch seed 50", "28c7dee111ac1297aebde73a526d9c5b");
     ("random switch:2x3@2 seed 1", "ff423477831e8626dcfe4cb4cf45f13a");
     ("random switch:2x3@2 seed 2", "8b114a8bb76767dca5f3b1e7789b9ae6");
     ("random switch:2x3@2 seed 3", "e730181e61a08be329231d3247eb70ef");
-    ("random switch:2x3@2 seed 35", "f5cc28d8deb3ffec5b721048533880fb");
-    ("random switch:2x3@2 seed 50", "8f11a1d59132e8f00151da328c46c430");
+    ("random switch:2x3@2 seed 35", "9fedc1edb547ceb335bd979b80cd8514");
+    ("random switch:2x3@2 seed 50", "28c7dee111ac1297aebde73a526d9c5b");
     ("ether+adversarial seed 5", "38ea75e94713ab9cd7ba7e225442501c");
     ("ether+reorder seed 6", "40b42d9ed718b9daa78d6d471c122918");
     ("ether+bursty seed 7", "4b506acba25319d269886d9be4571268");
