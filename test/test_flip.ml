@@ -224,7 +224,8 @@ let test_duplicate_fragments_deliver_once () =
   Flip.register (flip w 1) b (fun _ -> incr got);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether)
+        { Link_faults.clean with dup_prob = 1.0 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:4_000 Packet.Empty));
       Engine.sleep w.eng (Time.ms 50));
   Engine.run w.eng;
@@ -243,7 +244,8 @@ let test_reordered_fragments_reassemble () =
   Flip.register (flip w 1) b (fun p -> sizes := p.Packet.size :: !sizes);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.jitter_ns = Time.ms 10 };
+      Link_faults.set_conditions (Ether.faults w.ether)
+        { Link_faults.clean with jitter_ns = Time.ms 10 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:8_000 Packet.Empty));
       Engine.sleep w.eng (Time.ms 100));
   Engine.run w.eng;
@@ -263,7 +265,8 @@ let test_header_corruption_drops_whole_frame () =
   Flip.register (flip w 1) b (fun _ -> incr got);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether)
+        { Link_faults.clean with corrupt_prob = 1.0 };
       ignore (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:0 Packet.Empty));
       Engine.sleep w.eng (Time.ms 20));
   Engine.run w.eng;
@@ -285,7 +288,8 @@ let test_payload_corruption_travels_wrapped () =
       | _ -> incr clean);
   Engine.spawn w.eng (fun () ->
       warm_route w a b;
-      Link_faults.set_conditions (Ether.faults w.ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
+      Link_faults.set_conditions (Ether.faults w.ether)
+        { Link_faults.clean with corrupt_prob = 1.0 };
       for _ = 1 to 5 do
         ignore
           (Flip.send (flip w 0) (Packet.make ~src:a ~dst:b ~size:1_400 Packet.Empty))

@@ -13,7 +13,8 @@ open Amoeba_net
 open Amoeba_harness
 open Amoeba_loadgen
 
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 let two_segments = { Switch.segments = 2; segment_size = 3; uplink_mult = 2 }
 

@@ -267,11 +267,12 @@ let test_work_records_trace_spans () =
 
 let test_oneway_cut_is_directed () =
   let eng, _, ether = make_world () in
+  let lf = Ether.faults ether in
   let got = ref [] in
   let p0 = Ether.attach ether ~rx:(fun f -> got := (0, f) :: !got) in
   let p1 = Ether.attach ether ~rx:(fun f -> got := (1, f) :: !got) in
   ignore p0;
-  Link_faults.cut_oneway (Ether.faults ether) ~src:0 ~dst:1;
+  Link_faults.cut_oneway lf ~src:0 ~dst:1;
   Engine.spawn eng (fun () ->
       ignore (Ether.transmit ether p0 (frame ~src:0 ~dest:(Frame.Unicast 1) 1));
       ignore (Ether.transmit ether p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 2)));
@@ -279,77 +280,85 @@ let test_oneway_cut_is_directed () =
   (* 0 -> 1 suppressed, 1 -> 0 delivered: the deaf side still hears. *)
   Alcotest.(check (list int)) "only the reverse path delivers" [ 0 ]
     (List.map fst !got);
-  Alcotest.(check int) "directed drop counted" 1 (Link_faults.oneway_drops (Ether.faults ether));
+  Alcotest.(check int) "directed drop counted" 1 (Link_faults.oneway_drops lf);
   Alcotest.(check bool) "cut is queryable" true
-    (Link_faults.oneway_cut (Ether.faults ether) ~src:0 ~dst:1
-    && not (Link_faults.oneway_cut (Ether.faults ether) ~src:1 ~dst:0));
-  Link_faults.heal_oneway (Ether.faults ether) ~src:0 ~dst:1;
-  Alcotest.(check bool) "healed" false (Link_faults.oneway_cut (Ether.faults ether) ~src:0 ~dst:1)
+    (Link_faults.oneway_cut lf ~src:0 ~dst:1
+    && not (Link_faults.oneway_cut lf ~src:1 ~dst:0));
+  Link_faults.heal_oneway lf ~src:0 ~dst:1;
+  Alcotest.(check bool) "healed" false
+    (Link_faults.oneway_cut lf ~src:0 ~dst:1)
 
-let test_gilbert_bursty_loss () =
+(* The link-condition tests below run on both fabrics: they share one
+   fault model, applied where the Ether's receiver loop and the
+   switch's egress port hand a frame to a station.  Each test gets a
+   fresh engine and medium per fabric; the fabric under test is
+   printed first, so a failure's log names it. *)
+let on_each_fabric test () =
+  List.iter
+    (fun spec ->
+      Printf.printf "fabric: %s\n" (Medium.spec_to_string spec);
+      let eng = Engine.create () in
+      test eng (Medium.create eng cost spec))
+    [ Medium.Shared; Medium.Switched Switch.flat ]
+
+(* Broadcast [tags] from a fresh port, one after the other. *)
+let broadcast eng net tags =
+  let p = Medium.attach net ~rx:(fun _ -> ()) in
+  Engine.spawn eng (fun () ->
+      List.iter
+        (fun i ->
+          ignore
+            (Medium.transmit net p
+               (frame ~src:(Medium.port_id p) ~dest:Frame.Broadcast i)))
+        tags);
+  Engine.run eng
+
+let test_gilbert_bursty_loss eng net =
   (* A channel that enters the bad state on the first frame and never
      leaves, with certain loss while bad: every frame is swallowed.
      The complementary setting (never leaves the good state, lossless
      there) delivers everything — the loss is state-, not
      frame-correlated. *)
-  let eng, _, ether = make_world () in
+  let lf = Medium.faults net in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  let burst g =
-    { Link_faults.clean with Link_faults.gilbert = Some g }
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  let burst p_gb =
+    {
+      Link_faults.clean with
+      gilbert = Some { p_gb; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
+    }
   in
-  Link_faults.set_conditions (Ether.faults ether)
-    (burst { Link_faults.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
-  Engine.spawn eng (fun () ->
-      for i = 1 to 5 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done;
-      (* Same channel shape, but the bad state is unreachable. *)
-      Link_faults.set_conditions (Ether.faults ether)
-        (burst { Link_faults.p_gb = 0.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
-      for i = 6 to 10 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
-  Engine.run eng;
+  Link_faults.set_conditions lf (burst 1.0);
+  broadcast eng net [ 1; 2; 3; 4; 5 ];
+  (* Same channel shape, but the bad state is unreachable. *)
+  Link_faults.set_conditions lf (burst 0.0);
+  broadcast eng net [ 6; 7; 8; 9; 10 ];
   Alcotest.(check int) "bad state swallows all, good state none" 5 !got;
-  Alcotest.(check int) "losses counted" 5 (Link_faults.cond_losses (Ether.faults ether))
+  Alcotest.(check int) "losses counted" 5 (Link_faults.cond_losses lf)
 
-let test_duplication_delivers_twice () =
-  let eng, _, ether = make_world () in
+let test_duplication_delivers_twice eng net =
+  let lf = Medium.faults net in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
-  Engine.spawn eng (fun () ->
-      for i = 1 to 3 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
-  Engine.run eng;
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  Link_faults.set_conditions lf
+    { Link_faults.clean with dup_prob = 1.0 };
+  broadcast eng net [ 1; 2; 3 ];
   Alcotest.(check int) "every frame arrives twice" 6 !got;
-  Alcotest.(check int) "duplicates counted" 3 (Link_faults.duplicates_injected (Ether.faults ether))
+  Alcotest.(check int) "duplicates counted" 3 (Link_faults.duplicates_injected lf)
 
-let test_jitter_can_reorder () =
+let test_jitter_can_reorder eng net =
   (* With delivery jitter far larger than the inter-frame gap, a long
      train of frames arrives permuted for some seed — delivery order
      is no longer transmission order. *)
-  let eng, _, ether = make_world () in
+  let lf = Medium.faults net in
   let order = ref [] in
   let _p0 =
-    Ether.attach ether ~rx:(fun f ->
+    Medium.attach net ~rx:(fun f ->
         match f.Frame.body with Tag i -> order := i :: !order | _ -> ())
   in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.jitter_ns = Time.ms 10 };
-  Engine.spawn eng (fun () ->
-      for i = 1 to 12 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
-  Engine.run eng;
+  Link_faults.set_conditions lf
+    { Link_faults.clean with jitter_ns = Time.ms 10 };
+  broadcast eng net (List.init 12 (fun i -> i + 1));
   let order = List.rev !order in
   Alcotest.(check int) "nothing lost" 12 (List.length order);
   Alcotest.(check (list int)) "every frame still arrives"
@@ -358,18 +367,15 @@ let test_jitter_can_reorder () =
   Alcotest.(check bool) "arrival order differs from send order" true
     (order <> List.init 12 (fun i -> i + 1));
   Alcotest.(check bool) "jittered deliveries counted" true
-    (Link_faults.frames_jittered (Ether.faults ether) > 0)
+    (Link_faults.frames_jittered lf > 0)
 
-let test_corruption_wraps_body () =
-  let eng, _, ether = make_world () in
+let test_corruption_wraps_body eng net =
+  let lf = Medium.faults net in
   let got = ref [] in
-  let _p0 = Ether.attach ether ~rx:(fun f -> got := f :: !got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.corrupt_prob = 1.0 };
-  Engine.spawn eng (fun () ->
-      ignore
-        (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 9)));
-  Engine.run eng;
+  let _p0 = Medium.attach net ~rx:(fun f -> got := f :: !got) in
+  Link_faults.set_conditions lf
+    { Link_faults.clean with corrupt_prob = 1.0 };
+  broadcast eng net [ 9 ];
   (match !got with
   | [ f ] -> (
       match f.Frame.body with
@@ -378,53 +384,47 @@ let test_corruption_wraps_body () =
             (byte >= 0 && byte < f.Frame.size_on_wire)
       | _ -> Alcotest.fail "body not wrapped as Corrupted")
   | _ -> Alcotest.fail "expected exactly one delivery");
-  Alcotest.(check int) "corruption counted" 1 (Link_faults.corruptions_injected (Ether.faults ether))
+  Alcotest.(check int) "corruption counted" 1
+    (Link_faults.corruptions_injected lf)
 
-let test_per_link_conditions_override_default () =
+let test_per_link_conditions_override_default eng net =
   (* Conditions are per directed link: a total-loss override on
-     1 -> 0 starves port 0 while port 2 still hears the same
+     2 -> 0 starves port 0 while port 1 still hears the same
      broadcasts. *)
-  let eng, _, ether = make_world () in
+  let lf = Medium.faults net in
   let got = ref [] in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> got := 0 :: !got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  let _p2 = Ether.attach ether ~rx:(fun _ -> got := 2 :: !got) in
+  let _p0 = Medium.attach net ~rx:(fun _ -> got := 0 :: !got) in
+  let _p1 = Medium.attach net ~rx:(fun _ -> got := 1 :: !got) in
   let total_loss =
     {
       Link_faults.clean with
-      Link_faults.gilbert =
-        Some { Link_faults.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
+      gilbert = Some { p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
     }
   in
-  Link_faults.set_link_conditions (Ether.faults ether) ~src:1 ~dst:0 (Some total_loss);
-  Engine.spawn eng (fun () ->
-      for i = 1 to 3 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
-  Engine.run eng;
-  Alcotest.(check (list int)) "only the clean link delivers" [ 2; 2; 2 ] !got;
+  Link_faults.set_link_conditions lf ~src:2 ~dst:0 (Some total_loss);
+  broadcast eng net [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "only the clean link delivers" [ 1; 1; 1 ] !got;
   Alcotest.(check bool) "override queryable" true
-    (Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:0 = Some total_loss
-    && Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:2 = None);
-  Link_faults.set_link_conditions (Ether.faults ether) ~src:1 ~dst:0 None;
+    (Link_faults.link_conditions lf ~src:2 ~dst:0 = Some total_loss
+    && Link_faults.link_conditions lf ~src:2 ~dst:1 = None);
+  Link_faults.set_link_conditions lf ~src:2 ~dst:0 None;
   Alcotest.(check bool) "override removed" true
-    (Link_faults.link_conditions (Ether.faults ether) ~src:1 ~dst:0 = None)
+    (Link_faults.link_conditions lf ~src:2 ~dst:0 = None)
 
-let test_conditions_clear_restores_fast_path () =
-  let eng, _, ether = make_world () in
+let test_conditions_clear_restores_fast_path eng net =
+  let lf = Medium.faults net in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Link_faults.set_conditions (Ether.faults ether) { Link_faults.clean with Link_faults.dup_prob = 1.0 };
-  Link_faults.set_conditions (Ether.faults ether) Link_faults.clean;
-  Engine.spawn eng (fun () ->
-      ignore
-        (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 1)));
-  Engine.run eng;
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  Link_faults.set_conditions lf
+    { Link_faults.clean with dup_prob = 1.0 };
+  Alcotest.(check bool) "conditions installed: not quiet" false
+    (Link_faults.quiet lf);
+  Link_faults.set_conditions lf Link_faults.clean;
+  Alcotest.(check bool) "cleared: quiet again" true (Link_faults.quiet lf);
+  broadcast eng net [ 1 ];
   Alcotest.(check int) "clean again: one copy" 1 !got;
   Alcotest.(check int) "no residual duplication" 0
-    (Link_faults.duplicates_injected (Ether.faults ether))
+    (Link_faults.duplicates_injected lf)
 
 let test_excessive_collisions_drop () =
   (* A medium jammed by an adversarial filter never lets anyone win:
@@ -507,13 +507,14 @@ let suite =
       tc "contention resolves via backoff" test_excessive_collisions_drop;
       tc "interrupt accounting" test_interrupt_accounting;
       tc "one-way cut is directed" test_oneway_cut_is_directed;
-      tc "gilbert-elliott loss is bursty" test_gilbert_bursty_loss;
-      tc "duplication delivers twice" test_duplication_delivers_twice;
-      tc "jitter reorders deliveries" test_jitter_can_reorder;
-      tc "corruption wraps the body" test_corruption_wraps_body;
+      tc "gilbert-elliott loss is bursty" (on_each_fabric test_gilbert_bursty_loss);
+      tc "duplication delivers twice"
+        (on_each_fabric test_duplication_delivers_twice);
+      tc "jitter reorders deliveries" (on_each_fabric test_jitter_can_reorder);
+      tc "corruption wraps the body" (on_each_fabric test_corruption_wraps_body);
       tc "per-link conditions override default"
-        test_per_link_conditions_override_default;
+        (on_each_fabric test_per_link_conditions_override_default);
       tc "clearing conditions restores the fast path"
-        test_conditions_clear_restores_fast_path;
+        (on_each_fabric test_conditions_clear_restores_fast_path);
       QCheck_alcotest.to_alcotest prop_many_senders_all_frames_delivered;
     ] )

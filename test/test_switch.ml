@@ -157,41 +157,43 @@ let test_crashed_sender_frame_still_delivered () =
 
 let test_partition_and_loss_on_switch () =
   let eng, sw = make_switch () in
+  let lf = Switch.faults sw in
   let got = ref 0 in
   let _p0 = Switch.attach sw ~rx:(fun _ -> incr got) in
   let p1 = Switch.attach sw ~rx:ignore in
-  Link_faults.partition_pair (Switch.faults sw) 0 1;
+  Link_faults.partition_pair lf 0 1;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 1)));
   Engine.run eng;
   Alcotest.(check int) "partition suppresses delivery" 0 !got;
-  Alcotest.(check int) "partition drop counted" 1 (Link_faults.partition_drops (Switch.faults sw));
-  Link_faults.heal (Switch.faults sw);
+  Alcotest.(check int) "partition drop counted" 1 (Link_faults.partition_drops lf);
+  Link_faults.heal lf;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 2)));
   Engine.run eng;
   Alcotest.(check int) "heal restores delivery" 1 !got;
   (* Injected loss drops at store-and-forward arrival. *)
-  Link_faults.set_loss_rate (Switch.faults sw) 1.0;
+  Link_faults.set_loss_rate lf 1.0;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 3)));
   Engine.run eng;
   Alcotest.(check int) "lossy frame never arrives" 1 !got;
-  Alcotest.(check int) "loss counted" 1 (Link_faults.frames_lost (Switch.faults sw))
+  Alcotest.(check int) "loss counted" 1 (Link_faults.frames_lost lf)
 
 let test_oneway_cut_is_directed () =
   let eng, sw = make_switch () in
+  let lf = Switch.faults sw in
   let at0 = ref 0 and at1 = ref 0 in
   let p0 = Switch.attach sw ~rx:(fun _ -> incr at0) in
   let p1 = Switch.attach sw ~rx:(fun _ -> incr at1) in
-  Link_faults.cut_oneway (Switch.faults sw) ~src:1 ~dst:0;
+  Link_faults.cut_oneway lf ~src:1 ~dst:0;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 1));
       ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Unicast 1) 2)));
   Engine.run eng;
   Alcotest.(check int) "cut direction blocked" 0 !at0;
   Alcotest.(check int) "reverse direction open" 1 !at1;
-  Alcotest.(check int) "oneway drop counted" 1 (Link_faults.oneway_drops (Switch.faults sw))
+  Alcotest.(check int) "oneway drop counted" 1 (Link_faults.oneway_drops lf)
 
 let test_utilisation_window_reset () =
   let eng, sw = make_switch () in
