@@ -213,9 +213,20 @@ let chaos_cmd =
              machines); invariants are checked independently per group.")
   in
   let run seed members groups r method_ msgs schedule (fabric, net) disk =
+    let bad_schedule msg =
+      Printf.eprintf "amoeba chaos: --schedule: %s\n" msg;
+      exit 2
+    in
     let schedule =
       match (schedule, disk) with
-      | Some s, _ -> Some (Fault.of_string s)
+      | Some s, _ -> (
+          match Fault.of_string s with
+          | exception Invalid_argument msg -> bad_schedule msg
+          | sched -> (
+              match Fault.validate ~n:members sched with
+              | Ok () -> Some sched
+              | Error msg ->
+                  bad_schedule (Printf.sprintf "%s (--members %d)" msg members)))
       | None, Some _ ->
           (* Durable mode widens the seeded generator to draw one
              whole-cluster power cycle on top of the base schedule. *)

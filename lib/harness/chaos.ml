@@ -93,6 +93,9 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     | Some s -> s
     | None -> Fault.random ~seed ~n ~horizon ()
   in
+  (match Fault.validate ~n sched with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Chaos.run: " ^ e));
   let cycles =
     List.length
       (List.filter

@@ -254,40 +254,56 @@ let to_string sched =
   String.concat "; "
     (List.map (fun s -> Printf.sprintf "%d:%s" s.at (action_to_string s.action)) sched)
 
-let parse_ids s = List.map int_of_string (String.split_on_char ',' s)
+(* Every field is checked: a malformed one raises [Invalid_argument]
+   naming the token, never a bare [Failure] from the number parsers.
+   Integers (times, durations, machine ids) must be >= 0 and rates
+   and probabilities within [0, 1]. *)
+let bad what tok s =
+  invalid_arg (Printf.sprintf "Fault.of_string: bad %s %S in %S" what tok s)
 
 let action_of_string s =
+  let int tok =
+    match int_of_string_opt tok with
+    | Some i when i >= 0 -> i
+    | _ -> bad "integer" tok s
+  in
+  let prob tok =
+    match float_of_string_opt tok with
+    | Some p when p >= 0. && p <= 1. -> p
+    | _ -> bad "probability" tok s
+  in
+  let ids l = List.map int (String.split_on_char ',' l) in
   match String.split_on_char ' ' (String.trim s) with
-  | [ "crash"; i ] -> Crash (int_of_string i)
-  | [ "restart"; i ] -> Restart (int_of_string i)
-  | [ "pause"; i ] -> Pause (int_of_string i)
-  | [ "resume"; i ] -> Resume (int_of_string i)
+  | [ "crash"; i ] -> Crash (int i)
+  | [ "restart"; i ] -> Restart (int i)
+  | [ "pause"; i ] -> Pause (int i)
+  | [ "resume"; i ] -> Resume (int i)
   | [ "part"; sides ] -> (
       match String.split_on_char '/' sides with
-      | [ a; b ] -> Partition (parse_ids a, parse_ids b)
-      | _ -> invalid_arg ("Fault.of_string: bad partition " ^ s))
+      | [ a; b ] -> Partition (ids a, ids b)
+      | _ -> bad "partition" sides s)
   | [ "heal" ] -> Heal
-  | [ "loss"; rate; dur ] -> Loss_burst (float_of_string rate, int_of_string dur)
-  | [ "oneway"; src; dst ] -> Oneway (int_of_string src, int_of_string dst)
+  | [ "loss"; rate; dur ] -> Loss_burst (prob rate, int dur)
+  | [ "oneway"; src; dst ] -> Oneway (int src, int dst)
   | [ "burst"; p_gb; p_bg; loss_bad; dur ] ->
-      Burst
-        ( float_of_string p_gb,
-          float_of_string p_bg,
-          float_of_string loss_bad,
-          int_of_string dur )
-  | [ "dup"; prob; dur ] -> Duplicate (float_of_string prob, int_of_string dur)
-  | [ "jitter"; ns; dur ] -> Jitter (int_of_string ns, int_of_string dur)
-  | [ "corrupt"; prob; dur ] -> Corrupt (float_of_string prob, int_of_string dur)
-  | [ "powercycle"; outage ] -> Power_cycle_all (int_of_string outage)
-  | _ -> invalid_arg ("Fault.of_string: bad action " ^ s)
+      Burst (prob p_gb, prob p_bg, prob loss_bad, int dur)
+  | [ "dup"; p; dur ] -> Duplicate (prob p, int dur)
+  | [ "jitter"; ns; dur ] -> Jitter (int ns, int dur)
+  | [ "corrupt"; p; dur ] -> Corrupt (prob p, int dur)
+  | [ "powercycle"; outage ] -> Power_cycle_all (int outage)
+  | words -> bad "action" (List.hd words) s
 
 let of_string str =
   let step s =
     match String.index_opt s ':' with
     | None -> invalid_arg ("Fault.of_string: missing time in " ^ s)
     | Some i ->
+        let at = String.trim (String.sub s 0 i) in
         {
-          at = int_of_string (String.trim (String.sub s 0 i));
+          at =
+            (match int_of_string_opt at with
+            | Some t when t >= 0 -> t
+            | _ -> bad "time" at s);
           action =
             action_of_string (String.sub s (i + 1) (String.length s - i - 1));
         }
@@ -295,6 +311,27 @@ let of_string str =
   String.split_on_char ';' str
   |> List.filter (fun s -> String.trim s <> "")
   |> List.map step |> sort
+
+let machines = function
+  | Crash i | Restart i | Pause i | Resume i -> [ i ]
+  | Partition (a, b) -> a @ b
+  | Oneway (src, dst) -> [ src; dst ]
+  | Heal | Loss_burst _ | Burst _ | Duplicate _ | Jitter _ | Corrupt _
+  | Power_cycle_all _ ->
+      []
+
+let validate ~n sched =
+  match
+    List.find_opt
+      (fun s -> List.exists (fun i -> i < 0 || i >= n) (machines s.action))
+      sched
+  with
+  | None -> Ok ()
+  | Some s ->
+      Error
+        (Printf.sprintf "step %S names a machine outside 0..%d"
+           (Printf.sprintf "%d:%s" s.at (action_to_string s.action))
+           (n - 1))
 
 let pp ppf sched =
   List.iter

@@ -104,8 +104,15 @@ val to_string : schedule -> string
     Round-trips exactly through {!of_string}. *)
 
 val of_string : string -> schedule
-(** Parses {!to_string}'s format; raises [Invalid_argument] on
-    malformed input.  The result is sorted by time. *)
+(** Parses {!to_string}'s format.  The result is sorted by time.
+    Raises [Invalid_argument] naming the bad token for every malformed
+    field: an unknown action, a non-integer or negative time, duration
+    or machine id, a rate or probability outside [0, 1]. *)
+
+val validate : n:int -> schedule -> (unit, string) result
+(** [Error] naming the first step that refers to a machine outside
+    [0 .. n-1] (crash, restart, pause, resume, partition sides,
+    one-way cut ends). *)
 
 val pp : Format.formatter -> schedule -> unit
 (** Multi-line human-readable rendering (times in ms). *)

@@ -115,6 +115,58 @@ let prop_schedule_roundtrip =
       let s = Fault.random ~seed ~n () in
       Fault.of_string (Fault.to_string s) = s)
 
+(* Every malformed field is an [Invalid_argument] naming the bad
+   token, never a bare [Failure] from a number parser. *)
+let test_schedule_rejects_bad_input () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (text, token) ->
+      match Fault.of_string text with
+      | _ -> Alcotest.failf "%S was accepted" text
+      | exception Invalid_argument msg ->
+          if not (contains msg (Printf.sprintf "%S" token)) then
+            Alcotest.failf "%S: %S does not name %S" text msg token)
+    [
+      ("100:crash x", "x");
+      ("x:heal", "x");
+      ("-1:heal", "-1");
+      ("100:pause -2", "-2");
+      ("100:part 0,a/1", "a");
+      ("100:part 0,1", "0,1");
+      ("100:oneway 0 y", "y");
+      ("100:loss 1.5 1000", "1.5");
+      ("100:loss 0.1 soon", "soon");
+      ("100:burst 0.1 0.2 nan 1000", "nan");
+      ("100:dup 0.1 1e3", "1e3");
+      ("100:jitter 2.5 1000", "2.5");
+      ("100:corrupt many 1000", "many");
+      ("100:powercycle z", "z");
+      ("100:frobnicate 3", "frobnicate");
+      ("100:crash 1 2", "crash");
+    ]
+
+let test_schedule_machine_range () =
+  let check text ok =
+    Alcotest.(check bool) text ok
+      (Result.is_ok (Fault.validate ~n:4 (Fault.of_string text)))
+  in
+  check "100:crash 3; 200:part 0,1/2,3; 300:oneway 3 0" true;
+  check "100:crash 9" false;
+  check "100:restart 4" false;
+  check "100:part 0,1/2,4" false;
+  check "100:oneway 0 4" false;
+  match
+    Chaos.run ~n:4 ~schedule:(Fault.of_string "100:crash 9") ~seed:1 ()
+  with
+  | _ -> Alcotest.fail "Chaos.run accepted machine 9 of 4"
+  | exception Invalid_argument _ -> ()
+
 (* ----- adversarial link conditions -----
 
    Directed runs pin each receive-path hardening through the counters
@@ -615,6 +667,9 @@ let suite =
       tc "loss burst repaired" test_loss_burst_repaired;
       tc "overlapping bursts restore the pre-burst net"
         test_overlapping_bursts_restore;
+      tc "fault schedule rejects malformed input"
+        test_schedule_rejects_bad_input;
+      tc "fault schedule checks machine ids" test_schedule_machine_range;
       tc "multi-group invariants hold per group"
         test_multigroup_invariants_per_group;
       tc "ghost sequencer after a missed reset"
