@@ -50,11 +50,10 @@ let override knobs c kind ~dur ~get ~set v =
         Hashtbl.add knobs kind k;
         k
   in
-  (match k.active with
-  | [] ->
-      let prev = get () in
-      k.restore <- (fun () -> set prev)
-  | _ :: _ -> ());
+  if List.is_empty k.active then begin
+    let prev = get () in
+    k.restore <- (fun () -> set prev)
+  end;
   let install () = set v in
   k.active <- install :: k.active;
   install ();
@@ -91,23 +90,23 @@ let fire knobs ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
   | Oneway (src, dst) -> Link_faults.cut_oneway lf ~src ~dst
   | Burst (p_gb, p_bg, loss_bad, dur) ->
       cond "burst" ~dur
-        (fun c -> c.Link_faults.gilbert)
-        (fun c g -> { c with gilbert = g })
+        (fun cd -> cd.Link_faults.gilbert)
+        (fun cd g -> { cd with gilbert = g })
         (Some { Link_faults.p_gb; p_bg; loss_good = 0.; loss_bad })
   | Duplicate (prob, dur) ->
       cond "dup" ~dur
-        (fun c -> c.Link_faults.dup_prob)
-        (fun c p -> { c with dup_prob = p })
+        (fun cd -> cd.Link_faults.dup_prob)
+        (fun cd p -> { cd with dup_prob = p })
         prob
   | Jitter (ns, dur) ->
       cond "jitter" ~dur
-        (fun c -> c.Link_faults.jitter_ns)
-        (fun c j -> { c with jitter_ns = j })
+        (fun cd -> cd.Link_faults.jitter_ns)
+        (fun cd j -> { cd with jitter_ns = j })
         ns
   | Corrupt (prob, dur) ->
       cond "corrupt" ~dur
-        (fun c -> c.Link_faults.corrupt_prob)
-        (fun c p -> { c with corrupt_prob = p })
+        (fun cd -> cd.Link_faults.corrupt_prob)
+        (fun cd p -> { cd with corrupt_prob = p })
         prob
   | Power_cycle_all outage ->
       (* Total power loss: every machine — already-crashed ones
@@ -135,7 +134,8 @@ let apply ?on_restart ?on_power_down ?on_power_up c sched =
       ignore
         (Engine.schedule c.Cluster.engine
            ~after:(max 0 (at - now))
-           (fun () -> fire knobs ?on_restart ?on_power_down ?on_power_up c action)))
+           (fun () ->
+             fire knobs ?on_restart ?on_power_down ?on_power_up c action)))
     sched
 
 (* ----- random schedules ----- *)

@@ -202,8 +202,7 @@ let deliver_copy t c frame push =
   else push frame
 
 let deliver t ~src ~dst frame push =
-  if quiet t then push frame
-  else if Hashtbl.length t.cuts > 0 && partitioned t src dst then
+  if Hashtbl.length t.cuts > 0 && partitioned t src dst then
     t.n_partition_drops <- t.n_partition_drops + 1
   else if Hashtbl.length t.dcuts > 0 && Hashtbl.mem t.dcuts (dkey src dst) then
     t.n_oneway_drops <- t.n_oneway_drops + 1

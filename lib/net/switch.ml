@@ -115,6 +115,7 @@ let create engine cost profile =
   }
 
 let profile t = t.profile
+let faults t = t.faults
 
 let seg_of t id =
   if t.profile.segments <= 1 then 0
@@ -313,7 +314,6 @@ let transmit t port frame =
 
 (* ----- statistics ----- *)
 
-let faults t = t.faults
 let frames_delivered t = t.n_frames
 let bytes_delivered t = t.n_bytes
 

@@ -232,11 +232,11 @@ let test_loss_burst_repaired () =
   Alcotest.(check bool) "the burst lost frames" true (o.Chaos.cond_losses > 0);
   Alcotest.(check bool) "nacks repaired the gaps" true (o.Chaos.nacks > 0)
 
-(* Regression: two bursts of one kind that overlap staggered (the
-   second starts inside the first and outlives it) used to leave the
-   first burst's value installed for good, because each burst restored
-   what it saw at its own start.  While bursts overlap the newest sets
-   the value; after the last ends, the pre-burst value returns. *)
+(* Two bursts of one kind that overlap staggered (the second starts
+   inside the first and outlives it) must not leave the first burst's
+   value installed.  While bursts overlap the newest sets the value;
+   after the last ends, the pre-burst value returns; nested bursts
+   restore the outer value when the inner ends. *)
 let test_overlapping_bursts_restore () =
   let ms = Time.ms in
   let cl = Cluster.create ~n:2 () in
