@@ -421,7 +421,7 @@ let headline () =
    machine a local disk and turns on durable replicas ([fsync] and
    [checkpoint_every] set the policy); without it nothing touches a
    disk and the run is bit-identical to the non-durable path.  Returns
-   the workload result plus the per-router stats. *)
+   the driver trial plus the per-router stats. *)
 let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
     ~wire_mbps ?(max_batch = 1) ?(batch_delay_us = 500) ?(pipeline_depth = 1)
     ?disk ?(fsync = Amoeba_grouplib.Rsm.Group_fsync 8) ?(checkpoint_every = 64)
@@ -464,22 +464,23 @@ let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
               ~map
               ~endpoints:(Service.endpoints svc) ())
       in
-      let spec =
-        {
-          Workload.keys = 1_000;
-          value_bytes = 32;
-          read_ratio = 0.0;
-          dist = Workload.Uniform;
-          mode = Workload.Closed workers;
-          duration = Amoeba_sim.Time.ms duration_ms;
-          ramp;
-          seed;
-        }
-      in
       (* Counters only, no timing: utilisation read by [probe] covers
          the measured window, not the idle deploy phase before it. *)
       Amoeba_net.Medium.reset_utilisation_window cl.Cluster.net;
-      result := Some (Workload.run cl ~routers:rs ~map spec);
+      let module D = Amoeba_loadgen.Driver in
+      result :=
+        Some
+          (D.drive cl ~map ~routers:rs
+             {
+               D.default with
+               mix = Amoeba_loadgen.Mix.read_update ~read:0.0 Keygen.Uniform;
+               keys = 1_000;
+               value_dist = Amoeba_loadgen.Dist.Fixed 32;
+               duration = Amoeba_sim.Time.ms duration_ms - ramp;
+               warmup = ramp;
+               seed;
+             }
+             (D.Closed workers));
       rstats := List.map Router.stats rs;
       Option.iter (fun f -> f cl) probe);
   Cluster.run
@@ -533,16 +534,16 @@ let service () =
               ~duration_ms ~wire_mbps ~seed ()
           in
           if shards = List.hd shard_counts then
-            Hashtbl.replace base wire_mbps r.Amoeba_service.Workload.ops_per_sec;
+            Hashtbl.replace base wire_mbps r.Amoeba_loadgen.Driver.throughput;
           let speedup =
-            r.Amoeba_service.Workload.ops_per_sec
+            r.Amoeba_loadgen.Driver.throughput
             /. Hashtbl.find base wire_mbps
           in
           rows :=
-            (shards, wire_mbps, r.Amoeba_service.Workload.ops_per_sec,
-             r.Amoeba_service.Workload.p95_ms, r.Amoeba_service.Workload.failed)
+            (shards, wire_mbps, r.Amoeba_loadgen.Driver.throughput,
+             r.Amoeba_loadgen.Driver.p95_ms, r.Amoeba_loadgen.Driver.failed)
             :: !rows;
-          Printf.printf " %6.0f %4.2fx" r.Amoeba_service.Workload.ops_per_sec
+          Printf.printf " %6.0f %4.2fx" r.Amoeba_loadgen.Driver.throughput
             speedup)
         wires;
       print_newline ())
@@ -619,10 +620,10 @@ let batch () =
                 if batches = 0 then 1.
                 else float_of_int opsb /. float_of_int batches
               in
-              let open Amoeba_service.Workload in
+              let open Amoeba_loadgen.Driver in
               Printf.printf
                 "%6d %6d %6d | %8.0f %7.2f %7.2f %7.2f %7.2f | %9.1f %8d %8d\n%!"
-                wire_mbps max_batch depth r.ops_per_sec r.mean_ms r.p50_ms
+                wire_mbps max_batch depth r.throughput r.mean_ms r.p50_ms
                 r.p95_ms r.p99_ms avg partial bretries;
               rows :=
                 Bench_json.Obj
@@ -630,7 +631,7 @@ let batch () =
                     ("wire_mbps", Bench_json.Int wire_mbps);
                     ("max_batch", Bench_json.Int max_batch);
                     ("pipeline_depth", Bench_json.Int depth);
-                    ("ops_per_sec", Bench_json.Float r.ops_per_sec);
+                    ("ops_per_sec", Bench_json.Float r.throughput);
                     ("mean_ms", Bench_json.Float r.mean_ms);
                     ("p50_ms", Bench_json.Float r.p50_ms);
                     ("p95_ms", Bench_json.Float r.p95_ms);
@@ -716,14 +717,14 @@ let recovery () =
                     (fst
                        (service_run ~shards ~hosts ~routers ~replication
                           ~workers ~duration_ms ~wire_mbps:100 ~seed ()))
-                      .Amoeba_service.Workload.ops_per_sec;
+                      .Amoeba_loadgen.Driver.throughput;
                 !off_ops
             | Some fsync ->
                 (fst
                    (service_run ~shards ~hosts ~routers ~replication ~workers
                       ~duration_ms ~wire_mbps:100 ~disk:d ~fsync
                       ~checkpoint_every:64 ~seed ()))
-                  .Amoeba_service.Workload.ops_per_sec
+                  .Amoeba_loadgen.Driver.throughput
           in
           overhead_rows :=
             Bench_json.Obj
@@ -883,10 +884,10 @@ let fabric () =
               ~ramp:(Amoeba_sim.Time.ms ramp_ms)
               ~probe ~seed ()
           in
-          let open Amoeba_service.Workload in
+          let open Amoeba_loadgen.Driver in
           Printf.printf
             "%8d %6d | %-16s %10.0f %9.1f %7d %6.1f%% %7d %6d\n%!" shards
-            hosts label r.ops_per_sec r.p99_ms r.failed (100.0 *. !util) !coll
+            hosts label r.throughput r.p99_ms r.failed (100.0 *. !util) !coll
             !qdrops;
           rows :=
             Bench_json.Obj
@@ -895,7 +896,7 @@ let fabric () =
                 ("hosts", Bench_json.Int hosts);
                 ("routers", Bench_json.Int routers);
                 ("net", Bench_json.Str label);
-                ("ops_per_sec", Bench_json.Float r.ops_per_sec);
+                ("ops_per_sec", Bench_json.Float r.throughput);
                 ("p99_ms", Bench_json.Float r.p99_ms);
                 ("failed", Bench_json.Int r.failed);
                 ("utilisation", Bench_json.Float !util);
@@ -1324,7 +1325,7 @@ let micro () =
           ~workers:(if !smoke_mode then 96 else 1_024)
           ~duration_ms:(if !smoke_mode then 400 else 2_000)
           ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4 ~seed:11 ()))
-      .Amoeba_service.Workload.ops_per_sec
+      .Amoeba_loadgen.Driver.throughput
   in
   let results =
     [

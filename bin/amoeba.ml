@@ -518,7 +518,9 @@ let workload_cmd =
           ~doc:
             "Also print the measured result as a JSON object.  The JSON \
              figures read the same ramp-excluded accumulator as the text \
-             figures, so the two cannot disagree about warmup exclusion.")
+             figures, so the two cannot disagree about warmup exclusion; \
+             per_shard counts the requests each shard served since \
+             deployment, ramp included.")
   in
   let run shards hosts routers replication r keys value_bytes read_ratio dist
       skew workers rate duration_ms ramp_ms seed (fabric, net) wire_mbps
@@ -530,9 +532,9 @@ let workload_cmd =
     let open Amoeba_service in
     let dist =
       match dist with
-      | "uniform" -> Workload.Uniform
-      | "zipf" -> Workload.Zipf skew
-      | "latest" -> Workload.Latest skew
+      | "uniform" -> Keygen.Uniform
+      | "zipf" -> Keygen.Zipf skew
+      | "latest" -> Keygen.Latest skew
       | s ->
           Printf.eprintf "unknown distribution %S (uniform|zipf|latest)\n" s;
           exit 2
@@ -738,46 +740,47 @@ let workload_cmd =
           end
           else []
         in
-        let mode =
-          match rate with
-          | Some rate -> Workload.Open rate
-          | None -> Workload.Closed workers
+        let module D = Amoeba_loadgen.Driver in
+        let load =
+          match rate with Some rate -> D.Open rate | None -> D.Closed workers
         in
-        let spec =
-          {
-            Workload.keys;
-            value_bytes;
-            read_ratio;
-            dist;
-            mode;
-            duration;
-            ramp = Amoeba_sim.Time.ms ramp_ms;
-            seed;
-          }
+        (* --duration includes the ramp, which is the driver's warmup. *)
+        let warmup = max 0 (min (Amoeba_sim.Time.ms ramp_ms) duration) in
+        let res =
+          D.drive cl ~map ~routers:rs
+            {
+              D.default with
+              mix = Amoeba_loadgen.Mix.read_update ~read:read_ratio dist;
+              keys;
+              value_dist = Amoeba_loadgen.Dist.Fixed value_bytes;
+              duration = duration - warmup;
+              warmup;
+              seed;
+            }
+            load
         in
-        let res = Workload.run cl ~routers:rs ~map spec in
-        Format.printf "%a@." Workload.pp_result res;
+        let per_shard = Array.to_list (Service.shard_ops svc) in
+        Format.printf "%a@.per shard: %s@." D.pp_trial res
+          (String.concat ", " (List.map string_of_int per_shard));
         if json then
           print_string
             (Bench_json.to_string
                (Bench_json.Obj
                   [
-                    ("attempted", Bench_json.Int res.Workload.attempted);
-                    ("completed", Bench_json.Int res.Workload.completed);
-                    ("failed", Bench_json.Int res.Workload.failed);
-                    ("ops_per_sec", Bench_json.Float res.Workload.ops_per_sec);
-                    ("mean_ms", Bench_json.Float res.Workload.mean_ms);
-                    ("p50_ms", Bench_json.Float res.Workload.p50_ms);
-                    ("p95_ms", Bench_json.Float res.Workload.p95_ms);
-                    ("p99_ms", Bench_json.Float res.Workload.p99_ms);
-                    ("max_ms", Bench_json.Float res.Workload.max_ms);
-                    ("reads", Bench_json.Int res.Workload.reads);
-                    ("writes", Bench_json.Int res.Workload.writes);
+                    ("attempted", Bench_json.Int res.D.attempted);
+                    ("completed", Bench_json.Int res.D.completed);
+                    ("failed", Bench_json.Int res.D.failed);
+                    ("ops_per_sec", Bench_json.Float res.D.throughput);
+                    ("mean_ms", Bench_json.Float res.D.mean_ms);
+                    ("p50_ms", Bench_json.Float res.D.p50_ms);
+                    ("p95_ms", Bench_json.Float res.D.p95_ms);
+                    ("p99_ms", Bench_json.Float res.D.p99_ms);
+                    ("max_ms", Bench_json.Float res.D.max_ms);
+                    ("reads", Bench_json.Int res.D.reads);
+                    ("writes", Bench_json.Int res.D.updates);
                     ( "per_shard",
                       Bench_json.List
-                        (List.map
-                           (fun c -> Bench_json.Int c)
-                           (Array.to_list res.Workload.per_shard)) );
+                        (List.map (fun c -> Bench_json.Int c) per_shard) );
                   ]));
         let agg f = List.fold_left (fun a r -> a + f (Router.stats r)) 0 rs in
         Printf.printf
@@ -901,7 +904,7 @@ let migration_chaos_cmd =
   in
   let run seed (fabric, net) crash_source crash_dest power_cycle workers
       duration_ms =
-    let open Amoeba_service in
+    let open Amoeba_loadgen in
     let spec =
       {
         Migration_chaos.mc_seed = seed;

@@ -94,7 +94,7 @@ let colocated_keys map ~keys ~base ~want =
 let make_value cfg rng ~issued =
   let size = Dist.draw cfg.value_dist rng in
   (* Unique stamp then pad: distinct bodies keep the checker's
-     no-duplicates invariant meaningful (same scheme as Workload). *)
+     no-duplicates invariant meaningful. *)
   let stamp = Printf.sprintf "v%d." issued in
   let pad = max 0 (size - String.length stamp) in
   stamp ^ String.make pad 'x'
@@ -162,54 +162,41 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
       | Mix.Txn -> acc.txns <- acc.txns + 1
     end
 
-let run cfg ~rate =
-  if rate <= 0.0 then invalid_arg "Driver.run: rate <= 0";
-  let fabric, conditions = cfg.net in
-  let map =
-    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
-      ~hosts:(List.init cfg.hosts Fun.id) ()
-  in
-  let cost = Cost_model.(with_mbps cfg.wire_mbps default) in
-  let cl =
-    Cluster.create ~cost ~seed:cfg.seed ~fabric ~n:(cfg.hosts + cfg.routers) ()
-  in
+type load = Open of float | Closed of int
+
+let new_acc () =
+  {
+    hist = Histogram.create ();
+    attempted = 0;
+    completed = 0;
+    failed = 0;
+    reads = 0;
+    updates = 0;
+    inserts = 0;
+    txns = 0;
+    in_flight = 0;
+    issued = 0;
+  }
+
+(* Offers [load] to [routers] over warmup + window, then drains.  The
+   counters go into [acc], which ops that return after the drain still
+   update: [run] reads it once the whole simulation is over, [drive]
+   straight after the drain. *)
+let drive_into acc cl ~map ~routers cfg load =
   let eng = cl.Cluster.engine in
-  let acc =
-    {
-      hist = Histogram.create ();
-      attempted = 0;
-      completed = 0;
-      failed = 0;
-      reads = 0;
-      updates = 0;
-      inserts = 0;
-      txns = 0;
-      in_flight = 0;
-      issued = 0;
-    }
+  let routers = Array.of_list routers in
+  let nr = Array.length routers in
+  if nr = 0 then invalid_arg "Driver.drive: no routers";
+  let kg = Keygen.create ~keys:cfg.keys cfg.mix.Mix.dist in
+  let start = Engine.now eng in
+  let measure_from = start + cfg.warmup in
+  let stop = start + cfg.warmup + cfg.duration in
+  let op ~rng ~arrive router =
+    one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router
   in
-  Cluster.spawn cl (fun () ->
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~pipeline:cfg.pipeline_depth ()
-      in
-      let routers =
-        Array.init cfg.routers (fun i ->
-            Router.create
-              (Cluster.flip cl (cfg.hosts + i))
-              ~max_batch:cfg.max_batch
-              ~pipeline:(if cfg.max_batch > 1 then 1 else 4)
-              ~batch_delay:(Time.us cfg.batch_delay_us)
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
-      (* Impair the wire only once the service stands: the trial
-         measures steady state under these conditions, not whether
-         bring-up survives them (the chaos suites cover that). *)
-      Medium.set_conditions cl.Cluster.net conditions;
-      let kg = Keygen.create ~keys:cfg.keys cfg.mix.Mix.dist in
-      let start = Engine.now eng in
-      let measure_from = start + cfg.warmup in
-      let stop = start + cfg.warmup + cfg.duration in
+  (match load with
+  | Open rate ->
+      if rate <= 0.0 then invalid_arg "Driver.drive: rate <= 0";
       let arrivals = Random.State.make [| cfg.seed; 0x10ad |] in
       (* Arrival times accumulate in float ns from the trial start so
          rounding never drifts the offered rate. *)
@@ -226,21 +213,38 @@ let run cfg ~rate =
           let kk = !k in
           incr k;
           let rng = Random.State.make [| cfg.seed; 0x10ae; kk |] in
-          Cluster.spawn cl (fun () ->
-              one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from
-                routers.(kk mod cfg.routers))
+          Cluster.spawn cl (fun () -> op ~rng ~arrive routers.(kk mod nr))
         end
+      done
+  | Closed n ->
+      if n <= 0 then invalid_arg "Driver.drive: no clients";
+      for i = 0 to n - 1 do
+        let rng = Random.State.make [| cfg.seed; 0x10af; i |] in
+        Cluster.spawn cl (fun () ->
+            (* Slow start: stagger client arrivals over the warmup.  A
+               few thousand clients all firing at t=0 starve every
+               host's CPU at once (locate broadcasts, first-contact
+               RPCs), which the group kernels read as member failures
+               — the measurement then starts with a reset storm no real
+               deployment would begin from. *)
+            if cfg.warmup > 0 && n > 1 then
+              Engine.sleep eng (i * cfg.warmup / (n - 1));
+            while Engine.now eng < stop do
+              op ~rng ~arrive:(Engine.now eng) routers.(i mod nr)
+            done)
       done;
-      (* Drain stragglers, bounded by a grace period: whatever is
-         still stuck counts against the completion ratio. *)
-      let deadline = Engine.now eng + Time.sec 3 in
-      while acc.in_flight > 0 && Engine.now eng < deadline do
-        Engine.sleep eng (Time.ms 10)
-      done);
-  Cluster.run ~until:(cfg.warmup + cfg.duration + Time.sec 60) cl;
+      Engine.sleep eng (stop - Engine.now eng));
+  (* Drain stragglers, bounded by a grace period: whatever is still
+     stuck counts against the completion ratio. *)
+  let deadline = Engine.now eng + Time.sec 3 in
+  while acc.in_flight > 0 && Engine.now eng < deadline do
+    Engine.sleep eng (Time.ms 10)
+  done
+
+let trial_of acc cfg ~offered ~hist =
   let dur_s = Time.to_sec cfg.duration in
   {
-    offered = rate;
+    offered;
     attempted = acc.attempted;
     completed = acc.completed;
     failed = acc.failed;
@@ -249,24 +253,67 @@ let run cfg ~rate =
     completion =
       (if acc.attempted = 0 then 1.0
        else float_of_int acc.completed /. float_of_int acc.attempted);
-    mean_ms = Histogram.mean acc.hist;
-    p50_ms = Histogram.percentile acc.hist 50.0;
-    p95_ms = Histogram.percentile acc.hist 95.0;
-    p99_ms = Histogram.percentile acc.hist 99.0;
-    max_ms = Histogram.max_value acc.hist;
+    mean_ms = Histogram.mean hist;
+    p50_ms = Histogram.percentile hist 50.0;
+    p95_ms = Histogram.percentile hist 95.0;
+    p99_ms = Histogram.percentile hist 99.0;
+    max_ms = Histogram.max_value hist;
     reads = acc.reads;
     updates = acc.updates;
     inserts = acc.inserts;
     txns = acc.txns;
-    hist = acc.hist;
+    hist;
   }
+
+let drive cl ~map ~routers cfg load =
+  let acc = new_acc () in
+  drive_into acc cl ~map ~routers cfg load;
+  let offered = match load with Open rate -> rate | Closed _ -> 0.0 in
+  (* A copy, so ops returning after the drain cannot move the figures. *)
+  trial_of acc cfg ~offered ~hist:(Histogram.merge acc.hist (Histogram.create ()))
+
+let run cfg ~rate =
+  if rate <= 0.0 then invalid_arg "Driver.run: rate <= 0";
+  let fabric, conditions = cfg.net in
+  let map =
+    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
+      ~hosts:(List.init cfg.hosts Fun.id) ()
+  in
+  let cost = Cost_model.(with_mbps cfg.wire_mbps default) in
+  let cl =
+    Cluster.create ~cost ~seed:cfg.seed ~fabric ~n:(cfg.hosts + cfg.routers) ()
+  in
+  let acc = new_acc () in
+  Cluster.spawn cl (fun () ->
+      let svc =
+        Service.deploy cl ~map ~resilience:1 ~pipeline:cfg.pipeline_depth ()
+      in
+      let routers =
+        List.init cfg.routers (fun i ->
+            Router.create
+              (Cluster.flip cl (cfg.hosts + i))
+              ~max_batch:cfg.max_batch
+              ~pipeline:(if cfg.max_batch > 1 then 1 else 4)
+              ~batch_delay:(Time.us cfg.batch_delay_us)
+              ~map
+              ~endpoints:(Service.endpoints svc) ())
+      in
+      (* Impair the wire only once the service stands: the trial
+         measures steady state under these conditions, not whether
+         bring-up survives them (the chaos suites cover that). *)
+      Medium.set_conditions cl.Cluster.net conditions;
+      drive_into acc cl ~map ~routers cfg (Open rate));
+  Cluster.run ~until:(cfg.warmup + cfg.duration + Time.sec 60) cl;
+  trial_of acc cfg ~offered:rate ~hist:acc.hist
 
 let pp_trial ppf (t : trial) =
   Fmt.pf ppf
-    "@[<v>offered %.0f ops/s: %d attempted, %d completed, %d failed \
+    "@[<v>%s: %d attempted, %d completed, %d failed \
      (%.0f ops/s through, completion %.3f)@,\
      latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f@,\
      %d reads, %d updates, %d inserts, %d txns@]"
-    t.offered t.attempted t.completed t.failed t.throughput t.completion
+    (if t.offered > 0.0 then Printf.sprintf "offered %.0f ops/s" t.offered
+     else "closed loop")
+    t.attempted t.completed t.failed t.throughput t.completion
     t.mean_ms t.p50_ms t.p95_ms t.p99_ms t.max_ms t.reads t.updates t.inserts
     t.txns

@@ -1,18 +1,23 @@
-(** The open-loop load driver: one measured trial of a YCSB-style mix
-    against a freshly deployed sharded service at a fixed offered rate.
+(** The load driver: one measured trial of a YCSB-style mix against a
+    sharded service, offered either open-loop (Poisson arrivals at a
+    fixed rate) or closed-loop (N clients, each issuing its next op as
+    soon as the last returns — the paper's senders).
 
-    Open-loop and coordinated-omission-safe by construction: arrivals
-    are a Poisson process scheduled on the simulation clock,
-    {e independent} of completions — a saturated service cannot slow
-    the arrival stream down — and each operation's latency is measured
-    from its {e intended arrival time}, so queueing delay a backlogged
-    service inflicts is charged to the operation rather than silently
-    skipped.  Latencies accumulate into a log-bucketed {!Histogram}
-    (O(1) per sample; ≤ [gamma−1] relative error on percentiles).
+    The open loop is coordinated-omission-safe by construction:
+    arrivals are scheduled on the simulation clock {e independent} of
+    completions — a saturated service cannot slow the arrival stream
+    down — and each operation's latency is measured from its
+    {e intended arrival time}, so queueing delay a backlogged service
+    inflicts is charged to the operation rather than silently skipped.
+    A closed-loop client's next op arrives when it issues it.  Both
+    shapes share the op code, the warmup exclusion, the drain and the
+    log-bucketed {!Histogram} (O(1) per sample; ≤ [gamma−1] relative
+    error on percentiles).
 
-    Every trial builds its own cluster from the config seed, so a trial
-    is a pure function of [(config, rate)] — the property the
-    {!Saturation} search needs to be deterministic. *)
+    {!run} builds its own cluster from the config seed, so a trial is a
+    pure function of [(config, rate)] — the property the {!Saturation}
+    search needs to be deterministic.  {!drive} runs the same load
+    against a service the caller has deployed. *)
 
 open Amoeba_sim
 open Amoeba_net
@@ -65,6 +70,32 @@ type trial = {
   txns : int;
   hist : Histogram.t;
 }
+
+type load =
+  | Open of float  (** Poisson arrivals, ops per simulated second *)
+  | Closed of int
+      (** this many clients, one op at a time each; client [i] has its
+          own rng seeded from [(seed, i)], enters the loop at
+          [i * warmup / (n-1)] (a slow start, so the full complement
+          runs only after the warmup), and stops issuing when the
+          window ends *)
+
+val drive :
+  Amoeba_harness.Cluster.t ->
+  map:Amoeba_service.Shard_map.t ->
+  routers:Amoeba_service.Router.t list ->
+  config ->
+  load ->
+  trial
+(** Blocking — call from a cluster process.  Offers [load] to
+    [routers] (arrival or client [k] uses router [k mod n]) for
+    [warmup + duration], then drains in-flight ops for at most 3
+    simulated seconds and returns.  Reads only the load fields of the
+    config: [mix], [keys], [value_dist], [txn_size], [duration],
+    [warmup] and [seed].  Ops still in flight at the end of the drain
+    count as attempted but neither completed nor failed, and nothing
+    that returns later moves the trial.  [offered] is 0 for a closed
+    loop. *)
 
 val run : config -> rate:float -> trial
 (** Deterministic in [(config, rate)].  Blocks for the whole simulated

@@ -1,5 +1,6 @@
 open Amoeba_sim
 open Amoeba_harness
+open Amoeba_service
 module Medium = Amoeba_net.Medium
 module Machine = Amoeba_net.Machine
 module Cost_model = Amoeba_net.Cost_model
@@ -65,6 +66,10 @@ let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
 let fabric_to_string = function
   | Medium.Shared -> "ether"
   | Medium.Switched p -> Amoeba_net.Switch.profile_to_string p
+
+let rec flush_key map shard i =
+  let k = Printf.sprintf "flush-%d" i in
+  if Shard_map.shard_of_key map k = shard then k else flush_key map shard (i + 1)
 
 let replay_line spec =
   Printf.sprintf "amoeba migration-chaos --seed %d --net %s+%s%s%s%s"
@@ -196,21 +201,29 @@ let run spec =
                  | Router.Value _ -> ()
                  | _ -> sent_lost := k :: !sent_lost)
                (List.rev !sent_acked)));
-      let wspec =
-        {
-          Workload.keys = 200;
-          value_bytes = 16;
-          read_ratio = 0.25;
-          dist = Workload.Zipf 0.99;
-          mode = Workload.Closed spec.mc_workers;
-          duration;
-          ramp = Time.ms 50;
-          seed;
-        }
+      let res =
+        Driver.drive cl ~map ~routers:rs
+          {
+            Driver.default with
+            mix = Mix.read_update ~read:0.25 (Keygen.Zipf 0.99);
+            keys = 200;
+            value_dist = Dist.Fixed 16;
+            warmup = Time.ms 50;
+            duration = duration - Time.ms 50;
+            seed;
+          }
+          (Driver.Closed spec.mc_workers)
       in
-      let res = Workload.run cl ~routers:rs ~map wspec in
-      completed := res.Workload.completed;
-      failed := res.Workload.failed;
+      completed := res.Driver.completed;
+      failed := res.Driver.failed;
+      (* Flush, as the chaos swarms do: on a quiet net, one more write
+         per shard gives a member that silently lost the tail of its
+         stream a later sequence number to notice the gap against, so
+         NACK repair can run before the invariants are read. *)
+      if spec.mc_hostile then Medium.set_conditions cl.Cluster.net Medium.clean;
+      for shard = 0 to shards - 1 do
+        ignore (Router.put (List.hd rs) (flush_key map shard 0) "flush")
+      done;
       (* quiesce: let nack repair and slow-member catch-up drain the
          last acked writes into every stream before judging them *)
       Engine.sleep eng (Time.sec 5);

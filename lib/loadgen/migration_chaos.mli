@@ -10,9 +10,12 @@
     into the transfer: crash the source sequencer, crash the
     destination head, and/or power off every server host (restarting
     275 ms later into a union-host {!Service.recover} and a sentinel
-    readback under fsync-per-commit).  Everything is deterministic in
-    the seed; a failing case prints an [amoeba migration-chaos] line
-    that replays it exactly. *)
+    readback under fsync-per-commit).  When the closed-loop workload
+    ends the links go quiet and one flush write per shard lets NACK
+    repair fill any stream tail a member silently lost, as in the
+    {!Amoeba_harness.Chaos} swarms, before the invariants are read.
+    Everything is deterministic in the seed; a failing case prints an
+    [amoeba migration-chaos] line that replays it exactly. *)
 
 open Amoeba_harness
 module Medium = Amoeba_net.Medium

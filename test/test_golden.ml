@@ -89,7 +89,44 @@ let loadgen_run =
            }
            ~rate:400.0) )
 
-let runs = random_runs @ net_runs @ [ power_cycle_run; loadgen_run ]
+let closed_loop_run =
+  ( "closed loop ether 2 shards",
+    fun () ->
+      let open Amoeba_service in
+      let cl = Cluster.create ~seed:11 ~n:6 () in
+      let trial = ref None in
+      Cluster.spawn cl (fun () ->
+          let map =
+            Shard_map.create ~shards:2 ~replication:2 ~hosts:[ 0; 1; 2; 3 ] ()
+          in
+          let svc = Service.deploy cl ~map ~resilience:1 () in
+          let routers =
+            List.init 2 (fun i ->
+                Router.create
+                  (Cluster.flip cl (4 + i))
+                  ~map ~endpoints:(Service.endpoints svc) ())
+          in
+          trial :=
+            Some
+              (Driver.drive cl ~map ~routers
+                 {
+                   Driver.default with
+                   Driver.mix = Mix.with_txn Mix.ycsb_a ~size_hint:3 0.1;
+                   keys = 100;
+                   duration = Time.ms 300;
+                   warmup = Time.ms 100;
+                 }
+                 (Driver.Closed 8)));
+      Cluster.run ~until:(Time.sec 30) cl;
+      digest !trial )
+
+let migration_chaos_run =
+  ( "migration chaos seed 1",
+    fun () -> digest (Migration_chaos.run (Migration_chaos.default ~seed:1)) )
+
+let runs =
+  random_runs @ net_runs
+  @ [ power_cycle_run; loadgen_run; closed_loop_run; migration_chaos_run ]
 
 (* Digests pinned from the runs above; a run missing here fails as
    unpinned. *)
@@ -118,6 +155,8 @@ let pinned =
     ("switch+bursty seed 7", "88a4a9d1611e73d4e4da7f20b340b34f");
     ("durable power cycle ether+adversarial seed 7", "40e395a4b761c3d1f8e8459797df1e0d");
     ("loadgen trial switch+reorder", "a06146fafe921c4fbe67e1db5ed56f75");
+    ("closed loop ether 2 shards", "e33a546351046562fd9eb715fc476533");
+    ("migration chaos seed 1", "aa7d2fc0aea506ac60b8c9f495bd5b24");
   ]
 
 let test_run (name, run) expected () =

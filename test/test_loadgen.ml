@@ -2,7 +2,8 @@
    histogram (merge associativity, bounded relative error), the value-
    size and key-popularity distributions, the YCSB mix sampler, the
    SLO-driven saturation search, the open-loop driver's determinism,
-   and the BENCH_loadgen.json schema check. *)
+   the closed loop's warmup, start and in-flight accounting, and the
+   BENCH_loadgen.json schema check. *)
 
 open Amoeba_loadgen
 module Keygen = Amoeba_service.Keygen
@@ -276,6 +277,115 @@ let test_driver_deterministic () =
   if t1.Driver.completed = 0 then Alcotest.fail "trial completed nothing";
   if t1.Driver.txns = 0 then Alcotest.fail "mix should have produced txns"
 
+(* ---------- closed loop (Driver.drive on a deployed service) ---------- *)
+
+let closed_cfg =
+  {
+    Driver.default with
+    Driver.mix = Mix.read_update ~read:0.5 Keygen.Uniform;
+    keys = 100;
+    duration = Amoeba_sim.Time.ms 300;
+    warmup = Amoeba_sim.Time.ms 200;
+  }
+
+(* The load starts here, well after deployment. *)
+let t0 = Amoeba_sim.Time.sec 1
+
+let sleep_until cl t =
+  let eng = cl.Amoeba_harness.Cluster.engine in
+  Amoeba_sim.Engine.sleep eng (max 0 (t - Amoeba_sim.Engine.now eng))
+
+let router_ops rs =
+  List.fold_left
+    (fun a r -> a + (Amoeba_service.Router.stats r).Amoeba_service.Router.ops)
+    0 rs
+
+(* Two shards on hosts 0-3 and one router per client after them, so
+   client [i] is the only user of router [i].  [watch] runs in a fiber
+   of its own, started at [t0] alongside the drive. *)
+let drive_closed ?(attempts = 12) ?(watch = fun _ _ -> ()) ~clients cfg =
+  let open Amoeba_harness in
+  let open Amoeba_service in
+  let cl = Cluster.create ~n:(4 + clients) ~seed:3 () in
+  let out = ref None in
+  Cluster.spawn cl (fun () ->
+      let map =
+        Shard_map.create ~shards:2 ~replication:2 ~hosts:[ 0; 1; 2; 3 ] ()
+      in
+      let svc = Service.deploy cl ~map ~resilience:1 () in
+      let routers =
+        List.init clients (fun i ->
+            Router.create
+              (Cluster.flip cl (4 + i))
+              ~attempts ~map ~endpoints:(Service.endpoints svc) ())
+      in
+      if Cluster.now cl > t0 then failwith "deploy overran the load start";
+      sleep_until cl t0;
+      Cluster.spawn cl (fun () -> watch cl routers);
+      out :=
+        Some (Driver.drive cl ~map ~routers cfg (Driver.Closed clients), routers));
+  Cluster.run ~until:(Amoeba_sim.Time.sec 30) cl;
+  match !out with
+  | Some r -> r
+  | None -> Alcotest.fail "closed loop did not finish"
+
+let test_closed_warmup_excluded () =
+  let issued_in_warmup = ref 0 in
+  let t, rs =
+    drive_closed ~clients:4 closed_cfg ~watch:(fun cl rs ->
+        sleep_until cl (t0 + closed_cfg.Driver.warmup - 1);
+        issued_in_warmup := router_ops rs)
+  in
+  if !issued_in_warmup = 0 then Alcotest.fail "no ops issued in the warmup";
+  Alcotest.(check int)
+    "attempted = ops issued from the end of the warmup"
+    (router_ops rs - !issued_in_warmup)
+    t.Driver.attempted;
+  Alcotest.(check int) "all ops accounted" t.Driver.attempted
+    (t.Driver.completed + t.Driver.failed)
+
+let test_closed_staggered_start () =
+  let n = 4 in
+  let start i = t0 + (i * closed_cfg.Driver.warmup / (n - 1)) in
+  let seen = ref [] in
+  ignore
+    (drive_closed ~clients:n closed_cfg ~watch:(fun cl rs ->
+         let ops i = router_ops [ List.nth rs i ] in
+         for i = 0 to n - 1 do
+           let before =
+             if i = 0 then 0
+             else begin
+               sleep_until cl (start i - 1);
+               ops i
+             end
+           in
+           sleep_until cl (start i + 1);
+           seen := (i, before, ops i) :: !seen
+         done));
+  List.iter
+    (fun (i, before, after) ->
+      Alcotest.(check int) (Printf.sprintf "client %d idle before" i) 0 before;
+      Alcotest.(check bool)
+        (Printf.sprintf "client %d issuing after" i)
+        true (after > 0))
+    (List.rev !seen)
+
+(* Every replica dies mid-window and the routers retry far beyond the
+   drain, so each client ends with exactly one op in flight. *)
+let test_closed_in_flight_accounting () =
+  let n = 4 in
+  let t, _ =
+    drive_closed ~attempts:1_000 ~clients:n closed_cfg ~watch:(fun cl _ ->
+        sleep_until cl (t0 + closed_cfg.Driver.warmup + Amoeba_sim.Time.ms 100);
+        List.iter
+          (fun h -> Amoeba_net.Machine.crash (Amoeba_harness.Cluster.machine cl h))
+          [ 0; 1; 2; 3 ])
+  in
+  if t.Driver.completed = 0 then Alcotest.fail "nothing completed before the crash";
+  Alcotest.(check int) "attempted = completed + failed + in flight"
+    t.Driver.attempted
+    (t.Driver.completed + t.Driver.failed + n)
+
 (* ---------- BENCH_loadgen.json schema ---------- *)
 
 let sample_rows params =
@@ -358,6 +468,12 @@ let suite =
         test_saturation_deterministic;
       Alcotest.test_case "driver: deterministic trial" `Slow
         test_driver_deterministic;
+      Alcotest.test_case "driver: closed loop excludes warmup ops" `Quick
+        test_closed_warmup_excluded;
+      Alcotest.test_case "driver: closed loop staggers client starts" `Quick
+        test_closed_staggered_start;
+      Alcotest.test_case "driver: closed loop counts ops in flight" `Quick
+        test_closed_in_flight_accounting;
       Alcotest.test_case "report: schema accepts valid" `Quick
         test_report_schema_ok;
       Alcotest.test_case "report: schema rejects missing fields" `Quick

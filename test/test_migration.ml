@@ -8,6 +8,7 @@ open Amoeba_sim
 open Amoeba_net
 open Amoeba_harness
 open Amoeba_service
+module Migration_chaos = Amoeba_loadgen.Migration_chaos
 
 (* ---------- shard-map reassignment properties ---------- *)
 

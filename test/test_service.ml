@@ -9,6 +9,9 @@ open Amoeba_core
 open Amoeba_harness
 open Amoeba_service
 module T = Types
+module Driver = Amoeba_loadgen.Driver
+module Mix = Amoeba_loadgen.Mix
+module Dist = Amoeba_loadgen.Dist
 
 (* ---------- shard map ---------- *)
 
@@ -582,6 +585,18 @@ let test_batch_spans_sequencer_crash () =
 
 (* ---------- workload engine ---------- *)
 
+let driver_load ~read dist ~keys ~value_bytes ~seed =
+  {
+    Driver.default with
+    mix = Mix.read_update ~read dist;
+    keys;
+    value_dist = Dist.Fixed value_bytes;
+    warmup = Time.zero;
+    duration = Time.sec 2;
+    seed;
+  }
+
+(* Returns the trial and the service's per-shard request counts. *)
 let run_workload ~seed () =
   let cl = Cluster.create ~n:6 ~seed:5 () in
   let result = ref None in
@@ -594,44 +609,39 @@ let run_workload ~seed () =
         Router.create (Cluster.flip cl i) ~map
           ~endpoints:(Service.endpoints svc) ()
       in
-      let spec =
-        {
-          Workload.keys = 50;
-          value_bytes = 16;
-          read_ratio = 0.5;
-          dist = Workload.Zipf 0.99;
-          mode = Workload.Closed 4;
-          duration = Time.sec 2;
-          ramp = Time.zero;
-          seed;
-        }
+      let cfg =
+        driver_load ~read:0.5 (Keygen.Zipf 0.99) ~keys:50 ~value_bytes:16 ~seed
       in
-      result := Some (Workload.run cl ~routers:[ router 4; router 5 ] ~map spec));
+      let t =
+        Driver.drive cl ~map ~routers:[ router 4; router 5 ] cfg
+          (Driver.Closed 4)
+      in
+      result := Some (t, Service.shard_ops svc));
   Cluster.run ~until:(Time.sec 60) cl;
   match !result with
   | Some r -> r
   | None -> Alcotest.fail "workload did not finish"
 
 let test_workload_smoke () =
-  let r = run_workload ~seed:42 () in
-  Alcotest.(check bool) "made progress" true (r.Workload.completed > 100);
-  Alcotest.(check int) "no failures" 0 r.Workload.failed;
-  Alcotest.(check int) "all ops accounted" r.Workload.attempted
-    (r.Workload.completed + r.Workload.failed);
+  let r, per_shard = run_workload ~seed:42 () in
+  Alcotest.(check bool) "made progress" true (r.Driver.completed > 100);
+  Alcotest.(check int) "no failures" 0 r.Driver.failed;
+  Alcotest.(check int) "all ops accounted" r.Driver.attempted
+    (r.Driver.completed + r.Driver.failed);
   Alcotest.(check bool) "both shards hit" true
-    (Array.for_all (fun n -> n > 0) r.Workload.per_shard);
-  Alcotest.(check bool) "mixed ops" true (r.Workload.reads > 0 && r.Workload.writes > 0);
+    (Array.for_all (fun n -> n > 0) per_shard);
+  Alcotest.(check bool) "mixed ops" true (r.Driver.reads > 0 && r.Driver.updates > 0);
   Alcotest.(check bool) "percentiles ordered" true
-    (r.Workload.p50_ms <= r.Workload.p95_ms
-    && r.Workload.p95_ms <= r.Workload.p99_ms
-    && r.Workload.p99_ms <= r.Workload.max_ms)
+    (r.Driver.p50_ms <= r.Driver.p95_ms
+    && r.Driver.p95_ms <= r.Driver.p99_ms
+    && r.Driver.p99_ms <= r.Driver.max_ms)
 
 let test_workload_deterministic () =
-  let r1 = run_workload ~seed:42 () in
-  let r2 = run_workload ~seed:42 () in
-  Alcotest.(check int) "same completed" r1.Workload.completed r2.Workload.completed;
-  Alcotest.(check int) "same attempted" r1.Workload.attempted r2.Workload.attempted;
-  Alcotest.(check (float 0.0)) "same p99" r1.Workload.p99_ms r2.Workload.p99_ms
+  let r1, _ = run_workload ~seed:42 () in
+  let r2, _ = run_workload ~seed:42 () in
+  Alcotest.(check int) "same completed" r1.Driver.completed r2.Driver.completed;
+  Alcotest.(check int) "same attempted" r1.Driver.attempted r2.Driver.attempted;
+  Alcotest.(check (float 0.0)) "same p99" r1.Driver.p99_ms r2.Driver.p99_ms
 
 (* Retry backoff jitter must not cost determinism: the jitter stream
    is seeded per router and only consumed on retries, so two identical
@@ -651,27 +661,19 @@ let test_workload_open_loop () =
         Router.create (Cluster.flip cl 4) ~map
           ~endpoints:(Service.endpoints svc) ()
       in
-      let spec =
-        {
-          Workload.keys = 20;
-          value_bytes = 8;
-          read_ratio = 0.8;
-          dist = Workload.Uniform;
-          mode = Workload.Open 100.0;
-          duration = Time.sec 2;
-          ramp = Time.zero;
-          seed = 1;
-        }
+      let cfg =
+        driver_load ~read:0.8 Keygen.Uniform ~keys:20 ~value_bytes:8 ~seed:1
       in
-      result := Some (Workload.run cl ~routers:[ router ] ~map spec));
+      result :=
+        Some (Driver.drive cl ~map ~routers:[ router ] cfg (Driver.Open 100.0)));
   Cluster.run ~until:(Time.sec 60) cl;
   match !result with
   | None -> Alcotest.fail "workload did not finish"
   | Some r ->
       (* ~200 Poisson arrivals in 2 s at rate 100/s. *)
       Alcotest.(check bool) "arrivals near the configured rate" true
-        (r.Workload.attempted > 120 && r.Workload.attempted < 280);
-      Alcotest.(check int) "no failures" 0 r.Workload.failed
+        (r.Driver.attempted > 120 && r.Driver.attempted < 280);
+      Alcotest.(check int) "no failures" 0 r.Driver.failed
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
