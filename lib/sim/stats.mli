@@ -12,16 +12,6 @@ val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 
-val stddev : t -> float
-(** Population standard deviation; 0 when fewer than two samples. *)
-
 val min_value : t -> float
 
 val max_value : t -> float
-
-val percentile : t -> float -> float
-(** [percentile t p] for [p] in [0..100], by nearest-rank on the
-    sorted samples.  0 when empty. *)
-
-val samples : t -> float array
-(** A copy of the samples in insertion order. *)
