@@ -303,7 +303,7 @@ let router_ops rs =
 (* Two shards on hosts 0-3 and one router per client after them, so
    client [i] is the only user of router [i].  [watch] runs in a fiber
    of its own, started at [t0] alongside the drive. *)
-let drive_closed ?(attempts = 12) ?(watch = fun _ _ -> ()) ~clients cfg =
+let drive_closed ?(attempts = 12) ~watch ~clients cfg =
   let open Amoeba_harness in
   let open Amoeba_service in
   let cl = Cluster.create ~n:(4 + clients) ~seed:3 () in
