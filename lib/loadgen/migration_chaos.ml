@@ -216,17 +216,19 @@ let run spec =
       in
       completed := res.Driver.completed;
       failed := res.Driver.failed;
-      (* Flush, as the chaos swarms do: on a quiet net, one more write
-         per shard gives a member that silently lost the tail of its
-         stream a later sequence number to notice the gap against, so
-         NACK repair can run before the invariants are read. *)
+      (* quiesce: let nack repair and slow-member catch-up drain the
+         last acked writes into every stream before judging them *)
+      Engine.sleep eng (Time.sec 5);
+      (* Then flush, as the chaos swarms do: on a quiet net, one more
+         write per shard gives a member that silently lost the tail of
+         its stream a later sequence number to notice the gap against.
+         Without it a lost last write stays unseen in an idle group — a
+         liveness gap of the protocol, not a safety violation. *)
       if spec.mc_hostile then Medium.set_conditions cl.Cluster.net Medium.clean;
       for shard = 0 to shards - 1 do
         ignore (Router.put (List.hd rs) (flush_key map shard 0) "flush")
       done;
-      (* quiesce: let nack repair and slow-member catch-up drain the
-         last acked writes into every stream before judging them *)
-      Engine.sleep eng (Time.sec 5);
+      Engine.sleep eng (Time.sec 1);
       let add label v =
         verdicts := (label, v) :: !verdicts;
         if not v.Checker.ok then all_ok := false

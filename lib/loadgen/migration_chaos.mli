@@ -11,8 +11,9 @@
     destination head, and/or power off every server host (restarting
     275 ms later into a union-host {!Service.recover} and a sentinel
     readback under fsync-per-commit).  When the closed-loop workload
-    ends the links go quiet and one flush write per shard lets NACK
-    repair fill any stream tail a member silently lost, as in the
+    ends the run quiesces for 5 s under its own link conditions; then
+    the links go quiet and one flush write per shard lets NACK repair
+    fill any stream tail a member silently lost, as in the
     {!Amoeba_harness.Chaos} swarms, before the invariants are read.
     Everything is deterministic in the seed; a failing case prints an
     [amoeba migration-chaos] line that replays it exactly. *)
