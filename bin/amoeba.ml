@@ -519,8 +519,8 @@ let workload_cmd =
             "Also print the measured result as a JSON object.  The JSON \
              figures read the same ramp-excluded accumulator as the text \
              figures, so the two cannot disagree about warmup exclusion; \
-             per_shard counts the requests each shard served since \
-             deployment, ramp included.")
+             per_shard counts the requests each shard served from the end \
+             of the ramp through the drain, retries included.")
   in
   let run shards hosts routers replication r keys value_bytes read_ratio dist
       skew workers rate duration_ms ramp_ms seed (fabric, net) wire_mbps
@@ -595,6 +595,9 @@ let workload_cmd =
                 ~batch_delay:(Amoeba_sim.Time.us batch_delay_us)
                 ~endpoints:(Service.endpoints svc) ())
         in
+        (* The service serving the routers: a power cycle swaps in the
+           recovered one. *)
+        let current = ref svc in
         (if power_cycle then
            let dc = Option.get durable in
            Cluster.spawn cl (fun () ->
@@ -624,6 +627,7 @@ let workload_cmd =
                  Service.recover cl ~map ~durable:dc ~resilience:r
                    ~pipeline:pipeline_depth ()
                in
+               current := svc';
                List.iter
                  (fun router ->
                    Router.update_endpoints router (Service.endpoints svc'))
@@ -746,6 +750,12 @@ let workload_cmd =
         in
         (* --duration includes the ramp, which is the driver's warmup. *)
         let warmup = max 0 (min (Amoeba_sim.Time.ms ramp_ms) duration) in
+        (* Per-shard requests served in the measured window: snapshot
+           the counters when the warmup ends. *)
+        let at_warmup = ref (svc, Service.shard_ops svc) in
+        Cluster.spawn cl (fun () ->
+            Engine.sleep eng warmup;
+            at_warmup := (!current, Service.shard_ops !current));
         let res =
           D.drive cl ~map ~routers:rs
             {
@@ -759,9 +769,21 @@ let workload_cmd =
             }
             load
         in
-        let per_shard = Array.to_list (Service.shard_ops svc) in
+        let per_shard =
+          let s0, base = !at_warmup in
+          let ops = Array.map2 ( - ) (Service.shard_ops s0) base in
+          if !current != s0 then
+            Array.iteri (fun i c -> ops.(i) <- ops.(i) + c)
+              (Service.shard_ops !current);
+          Array.to_list ops
+        in
         Format.printf "%a@.per shard: %s@." D.pp_trial res
           (String.concat ", " (List.map string_of_int per_shard));
+        (* Every completed op was served at least once in the window. *)
+        if List.fold_left ( + ) 0 per_shard < res.D.completed then begin
+          Printf.printf "FAIL: per-shard requests miss completed ops\n%!";
+          failed := true
+        end;
         if json then
           print_string
             (Bench_json.to_string
