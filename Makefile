@@ -1,25 +1,30 @@
 # Convenience wrappers around dune; see bench/README.md for the
 # benchmark suite.
 
-.PHONY: all build test bench bench-smoke chaos chaos-net service batch durability fabric migration loadgen check clean
+.PHONY: all build test bench bench-smoke chaos chaos-net service batch durability fabric migration loadgen check reproduce clean
 
 all: build
 
 # Everything a pre-merge run needs: formatting gate (dune files; see
-# dune-project), full build, the test suites, and the chaos/bench
-# smoke aliases.
+# dune-project), full build, and the test suites — `dune runtest`
+# already builds every smoke alias (chaos, chaos-net, bench, service,
+# batch, durability, fabric, migration, loadgen).
 check:
 	dune build @fmt
 	dune build
 	dune runtest
-	dune build @chaos-smoke
-	dune build @bench-smoke
-	dune build @service-smoke
-	dune build @batch-smoke
-	dune build @durability-smoke
-	dune build @fabric-smoke
-	dune build @migration-smoke
-	dune build @loadgen-smoke
+
+# Regenerates BENCH_service.json and BENCH_loadgen.json in a scratch
+# directory and diffs them against the committed files: every
+# checked-in service and loadgen figure must come back byte for byte.
+# Several minutes of host time, so not part of runtest.
+reproduce:
+	dune build bench/main.exe
+	set -e; d=$$(mktemp -d); \
+	(cd $$d && $(CURDIR)/_build/default/bench/main.exe service batch recovery fabric migration loadgen --json > stdout.txt); \
+	diff BENCH_service.json $$d/BENCH_service.json; \
+	diff BENCH_loadgen.json $$d/BENCH_loadgen.json; \
+	rm -rf $$d; echo "BENCH_service.json and BENCH_loadgen.json reproduce"
 
 build:
 	dune build

@@ -28,6 +28,7 @@ open Amoeba_net
 open Amoeba_harness
 module T = Amoeba_core.Types
 module E = Experiments
+module Testbed = Amoeba_loadgen.Testbed
 
 let json_mode = ref false
 let smoke_mode = ref false
@@ -347,50 +348,11 @@ let ablation_history () =
     (fun history ->
       (* One member never sends, so only solicitation (not piggybacked
          traffic) can advance the pruning frontier. *)
-      let cl = Amoeba_harness.Cluster.create ~n:3 () in
-      let rate = ref 0. in
-      Amoeba_harness.Cluster.spawn cl (fun () ->
-          let open Amoeba_core in
-          let creator =
-            Api.create_group (Amoeba_harness.Cluster.flip cl 0) ~history ()
-          in
-          let addr = Api.group_address creator in
-          let g1 =
-            Result.get_ok
-              (Api.join_group (Amoeba_harness.Cluster.flip cl 1) ~history addr)
-          in
-          let idle =
-            Result.get_ok
-              (Api.join_group (Amoeba_harness.Cluster.flip cl 2) ~history addr)
-          in
-          List.iter
-            (fun g ->
-              Amoeba_harness.Cluster.spawn cl (fun () ->
-                  let rec loop () =
-                    ignore (Api.receive_from_group g);
-                    loop ()
-                  in
-                  loop ()))
-            [ creator; g1; idle ];
-          let deadline = Amoeba_sim.Time.ms 1_500 in
-          Amoeba_harness.Cluster.spawn cl (fun () ->
-              let rec loop () =
-                if Amoeba_harness.Cluster.now cl < deadline then begin
-                  ignore (Api.send_to_group g1 Bytes.empty);
-                  loop ()
-                end
-              in
-              loop ());
-          let warmup = deadline / 4 in
-          Amoeba_sim.Engine.sleep cl.Amoeba_harness.Cluster.engine warmup;
-          let c0 = Kernel.next_expected (Api.kernel creator) in
-          Amoeba_sim.Engine.sleep cl.Amoeba_harness.Cluster.engine
-            (deadline - warmup);
-          let c1 = Kernel.next_expected (Api.kernel creator) in
-          rate :=
-            float_of_int (c1 - c0) /. Amoeba_sim.Time.to_sec (deadline - warmup));
-      Amoeba_harness.Cluster.run ~until:(Amoeba_sim.Time.sec 3) cl;
-      Printf.printf "%12d %14.0f\n%!" history !rate)
+      let r =
+        E.group_throughput ~duration_ms:1_500 ~history ~senders:[ 1 ] ~n:3
+          ~size:0 ~send_method:T.Pb ()
+      in
+      Printf.printf "%12d %14.0f\n%!" history r.E.msgs_per_sec)
     [ 4; 8; 16; 32; 64; 128 ]
 
 let headline () =
@@ -408,102 +370,45 @@ let headline () =
 
 (* ----- service: sharded-service shard-scaling sweep ----- *)
 
-(* One measured service workload: a cluster of replica hosts plus
-   router machines, one replicated KV group per shard placed by the
-   shard map, closed-loop clients driving uniform writes through the
-   routers.  Deterministic in [seed].  At the defaults
-   ([max_batch] 1, [pipeline_depth] 1) the run is bit-identical to the
-   pre-batching service path; [max_batch] > 1 turns on router-side op
-   batching (and drops each router to one worker per shard — a single
-   in-flight batch per shard both keeps the replica endpoint
-   uncontended and lets the backlog coalesce), [pipeline_depth] sets
-   the kernels' in-flight sequencer rounds.  [disk] gives every
-   machine a local disk and turns on durable replicas ([fsync] and
-   [checkpoint_every] set the policy); without it nothing touches a
-   disk and the run is bit-identical to the non-durable path.  Returns
-   the driver trial plus the per-router stats. *)
-let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
-    ~wire_mbps ?(max_batch = 1) ?(batch_delay_us = 500) ?(pipeline_depth = 1)
-    ?disk ?(fsync = Amoeba_grouplib.Rsm.Group_fsync 8) ?(checkpoint_every = 64)
-    ?(fabric = Amoeba_net.Medium.Shared) ?(ramp = Amoeba_sim.Time.zero)
-    ?probe ~seed () =
-  let open Amoeba_service in
-  let map =
-    Shard_map.create ~shards ~replication ~hosts:(List.init hosts Fun.id) ()
-  in
-  let cost =
-    let base = Cost_model.(with_mbps wire_mbps default) in
-    match disk with
-    | Some d -> { base with Cost_model.disk = d }
-    | None -> base
-  in
-  let durable =
-    Option.map
-      (fun _ ->
-        {
-          Service.d_store = Amoeba_grouplib.Stable_store.create ();
-          d_sync = fsync;
-          d_checkpoint_every = checkpoint_every;
-        })
-      disk
-  in
-  let cl = Cluster.create ~cost ~seed ~fabric ~n:(hosts + routers) () in
+(* One measured service workload on a {!Amoeba_loadgen.Testbed}:
+   closed-loop clients driving uniform writes through the routers,
+   [ramp] of slow start excluded.  Deterministic in the config.  At
+   the testbed defaults ([max_batch] 1, [pipeline_depth] 1, no disk)
+   the run is the pre-batching, non-durable service path.  Returns the
+   driver trial plus the per-router stats. *)
+let service_run ?(ramp = Amoeba_sim.Time.zero) ?probe ~workers ~duration_ms
+    cfg =
+  let module D = Amoeba_loadgen.Driver in
+  let tb = Testbed.create cfg in
+  let cl = tb.cluster in
   let result = ref None in
   let rstats = ref [] in
   Cluster.spawn cl (fun () ->
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~pipeline:pipeline_depth ?durable ()
-      in
-      let rs =
-        List.init routers (fun i ->
-            Router.create
-              (Cluster.flip cl (hosts + i))
-              ~max_batch
-              ~pipeline:(if max_batch > 1 then 1 else 4)
-              ~batch_delay:(Amoeba_sim.Time.us batch_delay_us)
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
+      let live = Testbed.deploy tb in
       (* Counters only, no timing: utilisation read by [probe] covers
          the measured window, not the idle deploy phase before it. *)
       Amoeba_net.Medium.reset_utilisation_window cl.Cluster.net;
-      let module D = Amoeba_loadgen.Driver in
       result :=
         Some
-          (D.drive cl ~map ~routers:rs
+          (D.drive cl ~map:tb.map ~routers:live.routers
              {
                D.default with
-               mix = Amoeba_loadgen.Mix.read_update ~read:0.0 Keygen.Uniform;
+               mix =
+                 Amoeba_loadgen.Mix.read_update ~read:0.0
+                   Amoeba_service.Keygen.Uniform;
                keys = 1_000;
                value_dist = Amoeba_loadgen.Dist.Fixed 32;
                duration = Amoeba_sim.Time.ms duration_ms - ramp;
                warmup = ramp;
-               seed;
+               seed = cfg.Testbed.seed;
              }
              (D.Closed workers));
-      rstats := List.map Router.stats rs;
+      rstats := List.map Amoeba_service.Router.stats live.routers;
       Option.iter (fun f -> f cl) probe);
   Cluster.run
     ~until:(Amoeba_sim.Time.ms duration_ms + Amoeba_sim.Time.sec 60)
     cl;
   (Option.get !result, !rstats)
-
-(* BENCH_service.json carries the shard-scaling rows (the [service]
-   target), the batching sweep (the [batch] target) and the durability
-   rows (the [recovery] target).  Each target caches its fields and
-   rewrites the file with whatever has been measured so far, so
-   running several targets in one invocation yields one file with all
-   their sections. *)
-let service_json_fields : (string * Bench_json.t) list ref = ref []
-let batch_json_fields : (string * Bench_json.t) list ref = ref []
-let recovery_json_fields : (string * Bench_json.t) list ref = ref []
-let fabric_json_fields : (string * Bench_json.t) list ref = ref []
-let migration_json_fields : (string * Bench_json.t) list ref = ref []
-
-let write_service_json () =
-  json_out "service"
-    (!service_json_fields @ !batch_json_fields @ !recovery_json_fields
-   @ !fabric_json_fields @ !migration_json_fields)
 
 let service () =
   header
@@ -514,7 +419,9 @@ let service () =
      100 Mbit/s the machines stay the bottleneck and shards keep paying off";
   (* 8 replica hosts + 4 router machines = 12.  Replication 2 keeps
      every group member on its own machine up to 4 shards. *)
-  let hosts, routers, replication, seed = (8, 4, 2, 11) in
+  let bed =
+    { Testbed.default with hosts = 8; routers = 4; replication = 2; seed = 11 }
+  in
   let shard_counts = if !smoke_mode then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let workers = if !smoke_mode then 16 else 64 in
   let duration_ms = if !smoke_mode then 600 else 3_000 in
@@ -530,47 +437,35 @@ let service () =
       List.iter
         (fun wire_mbps ->
           let r, _ =
-            service_run ~shards ~hosts ~routers ~replication ~workers
-              ~duration_ms ~wire_mbps ~seed ()
+            service_run ~workers ~duration_ms { bed with shards; wire_mbps }
           in
+          let open Amoeba_loadgen.Driver in
           if shards = List.hd shard_counts then
-            Hashtbl.replace base wire_mbps r.Amoeba_loadgen.Driver.throughput;
-          let speedup =
-            r.Amoeba_loadgen.Driver.throughput
-            /. Hashtbl.find base wire_mbps
-          in
+            Hashtbl.replace base wire_mbps r.throughput;
+          Printf.printf " %6.0f %4.2fx" r.throughput
+            (r.throughput /. Hashtbl.find base wire_mbps);
           rows :=
-            (shards, wire_mbps, r.Amoeba_loadgen.Driver.throughput,
-             r.Amoeba_loadgen.Driver.p95_ms, r.Amoeba_loadgen.Driver.failed)
-            :: !rows;
-          Printf.printf " %6.0f %4.2fx" r.Amoeba_loadgen.Driver.throughput
-            speedup)
+            Bench_json.Obj
+              [
+                ("shards", Bench_json.Int shards);
+                ("wire_mbps", Bench_json.Int wire_mbps);
+                ("ops_per_sec", Bench_json.Float r.throughput);
+                ("p95_ms", Bench_json.Float r.p95_ms);
+                ("failed", Bench_json.Int r.failed);
+              ]
+            :: !rows)
         wires;
       print_newline ())
     shard_counts;
-  service_json_fields :=
-    [
-      ("hosts", Bench_json.Int hosts);
-      ("routers", Bench_json.Int routers);
-      ("replication", Bench_json.Int replication);
-      ("workers", Bench_json.Int workers);
-      ("duration_ms", Bench_json.Int duration_ms);
-      ("seed", Bench_json.Int seed);
-      ( "rows",
-        Bench_json.List
-          (List.rev_map
-             (fun (shards, wire, ops, p95, failed) ->
-               Bench_json.Obj
-                 [
-                   ("shards", Bench_json.Int shards);
-                   ("wire_mbps", Bench_json.Int wire);
-                   ("ops_per_sec", Bench_json.Float ops);
-                   ("p95_ms", Bench_json.Float p95);
-                   ("failed", Bench_json.Int failed);
-                 ])
-             !rows) );
-    ];
-  write_service_json ()
+  [
+    ("hosts", Bench_json.Int bed.hosts);
+    ("routers", Bench_json.Int bed.routers);
+    ("replication", Bench_json.Int bed.replication);
+    ("workers", Bench_json.Int workers);
+    ("duration_ms", Bench_json.Int duration_ms);
+    ("seed", Bench_json.Int bed.seed);
+    ("rows", Bench_json.List (List.rev !rows));
+  ]
 
 (* ----- batch: batching x pipelining sweep ----- *)
 
@@ -579,13 +474,23 @@ let service () =
    machines, and enough closed-loop clients (1024) that the shards
    saturate — batches only coalesce under backlog, so an underloaded
    sweep would measure the Nagle timer, not the amortisation. *)
+let batch_bed =
+  {
+    Testbed.default with
+    shards = 8;
+    hosts = 16;
+    routers = 4;
+    replication = 3;
+    seed = 11;
+  }
+
 let batch () =
   header
     "Batching + pipelining: committed ops/s vs batch size, depth, wire (20 machines)"
     "section 4 / conclusion 1: one protocol round per message caps a sequencer\n\
      near 1 k ops/s of CPU; carrying a batch of ops per round amortises that\n\
      fixed cost, so ops/s scales with batch size until the wire pushes back";
-  let shards, hosts, routers, replication, seed = (8, 16, 4, 3, 11) in
+  let bed = batch_bed in
   let workers = if !smoke_mode then 96 else 1_024 in
   let duration_ms = if !smoke_mode then 400 else 2_000 in
   let batch_sizes = if !smoke_mode then [ 1; 8 ] else [ 1; 4; 8; 32; 128 ] in
@@ -603,9 +508,8 @@ let batch () =
           List.iter
             (fun max_batch ->
               let r, stats =
-                service_run ~shards ~hosts ~routers ~replication ~workers
-                  ~duration_ms ~wire_mbps ~max_batch ~pipeline_depth:depth
-                  ~seed ()
+                service_run ~workers ~duration_ms
+                  { bed with wire_mbps; max_batch; pipeline_depth = depth }
               in
               let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
               let batches = sum (fun s -> s.Amoeba_service.Router.batches_sent) in
@@ -645,22 +549,20 @@ let batch () =
             batch_sizes)
         depths)
     wires;
-  batch_json_fields :=
-    [
-      ( "batch_sweep",
-        Bench_json.Obj
-          [
-            ("shards", Bench_json.Int shards);
-            ("hosts", Bench_json.Int hosts);
-            ("routers", Bench_json.Int routers);
-            ("replication", Bench_json.Int replication);
-            ("workers", Bench_json.Int workers);
-            ("duration_ms", Bench_json.Int duration_ms);
-            ("seed", Bench_json.Int seed);
-            ("rows", Bench_json.List (List.rev !rows));
-          ] );
-    ];
-  write_service_json ()
+  [
+    ( "batch_sweep",
+      Bench_json.Obj
+        [
+          ("shards", Bench_json.Int bed.shards);
+          ("hosts", Bench_json.Int bed.hosts);
+          ("routers", Bench_json.Int bed.routers);
+          ("replication", Bench_json.Int bed.replication);
+          ("workers", Bench_json.Int workers);
+          ("duration_ms", Bench_json.Int duration_ms);
+          ("seed", Bench_json.Int bed.seed);
+          ("rows", Bench_json.List (List.rev !rows));
+        ] );
+  ]
 
 (* ----- recovery: durable-write overhead and recovery time ----- *)
 
@@ -685,7 +587,17 @@ let recovery () =
      throughput; recovery replays the log at disk speed";
   let module R = Amoeba_grouplib.Rsm in
   let module Store = Amoeba_grouplib.Stable_store in
-  let shards, hosts, routers, replication, seed = (4, 8, 4, 2, 11) in
+  let bed =
+    {
+      Testbed.default with
+      shards = 4;
+      hosts = 8;
+      routers = 4;
+      replication = 2;
+      wire_mbps = 100;
+      seed = 11;
+    }
+  in
   let workers = if !smoke_mode then 16 else 64 in
   let duration_ms = if !smoke_mode then 400 else 2_000 in
   let disks = [ ("hdd1996", Cost_model.hdd1996); ("ssd", Cost_model.ssd) ] in
@@ -699,7 +611,7 @@ let recovery () =
   in
   Printf.printf "%18s |" "policy";
   List.iter (fun (n, _) -> Printf.printf " %9s" n) disks;
-  Printf.printf "   (committed ops/s, %d shards, wire 100 Mbit)\n" shards;
+  Printf.printf "   (committed ops/s, %d shards, wire 100 Mbit)\n" bed.shards;
   let off_ops = ref nan in
   let overhead_rows = ref [] in
   List.iter
@@ -707,24 +619,18 @@ let recovery () =
       Printf.printf "%18s |" pname;
       List.iter
         (fun (dname, d) ->
+          let run bed =
+            (fst (service_run ~workers ~duration_ms bed))
+              .Amoeba_loadgen.Driver.throughput
+          in
           let ops =
             match policy with
             | None ->
                 (* No disk at all: the figure is profile-independent,
                    measured once and repeated across the columns. *)
-                if Float.is_nan !off_ops then
-                  off_ops :=
-                    (fst
-                       (service_run ~shards ~hosts ~routers ~replication
-                          ~workers ~duration_ms ~wire_mbps:100 ~seed ()))
-                      .Amoeba_loadgen.Driver.throughput;
+                if Float.is_nan !off_ops then off_ops := run bed;
                 !off_ops
-            | Some fsync ->
-                (fst
-                   (service_run ~shards ~hosts ~routers ~replication ~workers
-                      ~duration_ms ~wire_mbps:100 ~disk:d ~fsync
-                      ~checkpoint_every:64 ~seed ()))
-                  .Amoeba_loadgen.Driver.throughput
+            | Some fsync -> run { bed with disk = Some d; fsync }
           in
           overhead_rows :=
             Bench_json.Obj
@@ -804,21 +710,19 @@ let recovery () =
         disks;
       print_newline ())
     wal_lengths;
-  recovery_json_fields :=
-    [
-      ( "durability",
-        Bench_json.Obj
-          [
-            ("shards", Bench_json.Int shards);
-            ("hosts", Bench_json.Int hosts);
-            ("workers", Bench_json.Int workers);
-            ("duration_ms", Bench_json.Int duration_ms);
-            ("seed", Bench_json.Int seed);
-            ("overhead_rows", Bench_json.List (List.rev !overhead_rows));
-            ("recovery_rows", Bench_json.List (List.rev !time_rows));
-          ] );
-    ];
-  write_service_json ()
+  [
+    ( "durability",
+      Bench_json.Obj
+        [
+          ("shards", Bench_json.Int bed.shards);
+          ("hosts", Bench_json.Int bed.hosts);
+          ("workers", Bench_json.Int workers);
+          ("duration_ms", Bench_json.Int duration_ms);
+          ("seed", Bench_json.Int bed.seed);
+          ("overhead_rows", Bench_json.List (List.rev !overhead_rows));
+          ("recovery_rows", Bench_json.List (List.rev !time_rows));
+        ] );
+  ]
 
 (* ----- fabric: shard count x network topology at 100+ hosts ----- *)
 
@@ -838,7 +742,9 @@ let fabric () =
     "past the paper: the shared Ether is the last bottleneck after PR 6's\n\
      batching; a store-and-forward switch with full-duplex host links\n\
      removes the collision ceiling while the same kernel bits run";
-  let replication, seed = (3, 11) in
+  let bed =
+    { batch_bed with wire_mbps = 100; max_batch = 32; pipeline_depth = 4 }
+  in
   let workers = if !smoke_mode then 64 else 2_048 in
   let duration_ms = if !smoke_mode then 1_000 else 12_000 in
   let ramp_ms = if !smoke_mode then 200 else 4_000 in
@@ -878,11 +784,10 @@ let fabric () =
             qdrops := Amoeba_net.Medium.queue_drops m
           in
           let r, _ =
-            service_run ~shards ~hosts ~routers ~replication ~workers
-              ~duration_ms ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4
-              ~fabric:spec
+            service_run ~workers ~duration_ms
               ~ramp:(Amoeba_sim.Time.ms ramp_ms)
-              ~probe ~seed ()
+              ~probe
+              { bed with shards; hosts; routers; fabric = spec }
           in
           let open Amoeba_loadgen.Driver in
           Printf.printf
@@ -906,23 +811,21 @@ let fabric () =
             :: !rows)
         (topologies hosts routers))
     scales;
-  fabric_json_fields :=
-    [
-      ( "fabric",
-        Bench_json.Obj
-          [
-            ("replication", Bench_json.Int replication);
-            ("workers", Bench_json.Int workers);
-            ("duration_ms", Bench_json.Int duration_ms);
-            ("ramp_ms", Bench_json.Int ramp_ms);
-            ("max_batch", Bench_json.Int 32);
-            ("pipeline_depth", Bench_json.Int 4);
-            ("wire_mbps", Bench_json.Int 100);
-            ("seed", Bench_json.Int seed);
-            ("rows", Bench_json.List (List.rev !rows));
-          ] );
-    ];
-  write_service_json ()
+  [
+    ( "fabric",
+      Bench_json.Obj
+        [
+          ("replication", Bench_json.Int bed.replication);
+          ("workers", Bench_json.Int workers);
+          ("duration_ms", Bench_json.Int duration_ms);
+          ("ramp_ms", Bench_json.Int ramp_ms);
+          ("max_batch", Bench_json.Int bed.max_batch);
+          ("pipeline_depth", Bench_json.Int bed.pipeline_depth);
+          ("wire_mbps", Bench_json.Int bed.wire_mbps);
+          ("seed", Bench_json.Int bed.seed);
+          ("rows", Bench_json.List (List.rev !rows));
+        ] );
+  ]
 
 (* ----- migration: blackout window and added latency vs shard size ----- *)
 
@@ -944,33 +847,26 @@ let fabric () =
    checkpoint read/write speed — which is why the table sweeps both. *)
 let migration_run ~records ~disk ~seed =
   let open Amoeba_service in
-  let hosts = 6 in
-  let map =
-    Shard_map.create ~shards:1 ~replication:2 ~hosts:(List.init hosts Fun.id)
-      ()
+  (* One shard on 6 durable hosts (group fsync every 8, checkpoint
+     every 64) and one router. *)
+  let tb =
+    Testbed.create
+      {
+        Testbed.default with
+        hosts = 6;
+        wire_mbps = 100;
+        disk = Some disk;
+        seed;
+      }
   in
-  let cost =
-    let base = Cost_model.(with_mbps 100 default) in
-    { base with Cost_model.disk }
-  in
-  let cl = Cluster.create ~cost ~seed ~n:(hosts + 1) () in
+  let cl = tb.cluster in
   let eng = cl.Cluster.engine in
-  let dc =
-    {
-      Service.d_store = Amoeba_grouplib.Stable_store.create ();
-      d_sync = Amoeba_grouplib.Rsm.Group_fsync 8;
-      d_checkpoint_every = 64;
-    }
-  in
   let samples = ref [] in
   let t_mig = ref (Amoeba_sim.Time.zero, Amoeba_sim.Time.zero) in
   let probing = ref true in
   Cluster.spawn cl (fun () ->
-      let svc = Service.deploy cl ~map ~resilience:1 ~durable:dc () in
-      let r =
-        Router.create (Cluster.flip cl hosts) ~map
-          ~endpoints:(Service.endpoints svc) ()
-      in
+      let live = Testbed.deploy tb in
+      let svc = live.deployed and r = List.hd live.routers in
       let value = String.make 32 'v' in
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.ms 50);
       for i = 1 to records do
@@ -1016,7 +912,7 @@ let migration_run ~records ~disk ~seed =
       | Ok () -> ()
       | Error e -> failwith ("migration bench: migration failed: " ^ e));
       t_mig := (t0, Cluster.now cl);
-      Router.update_endpoints r (Service.endpoints svc);
+      Testbed.repoint live;
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.sec 1);
       probing := false);
   Cluster.run ~until:(Amoeba_sim.Time.sec 600) cl;
@@ -1089,18 +985,16 @@ let migration () =
             :: !rows)
         sizes)
     disks;
-  migration_json_fields :=
-    [
-      ( "migration",
-        Bench_json.Obj
-          [
-            ("replication", Bench_json.Int 2);
-            ("wire_mbps", Bench_json.Int 100);
-            ("seed", Bench_json.Int seed);
-            ("rows", Bench_json.List (List.rev !rows));
-          ] );
-    ];
-  write_service_json ()
+  [
+    ( "migration",
+      Bench_json.Obj
+        [
+          ("replication", Bench_json.Int 2);
+          ("wire_mbps", Bench_json.Int 100);
+          ("seed", Bench_json.Int seed);
+          ("rows", Bench_json.List (List.rev !rows));
+        ] );
+  ]
 
 (* ----- loadgen: SLO-driven saturation sweep ----- *)
 
@@ -1117,14 +1011,16 @@ let loadgen () =
      server, so the knee of the latency curve scales with shards until\n\
      the fabric pushes back; mixed YCSB-A load with multi-key txns";
   let params = L.Report.default_params ~smoke:!smoke_mode in
+  let b = params.L.Report.base in
   Printf.printf
     "mix %s over %d keys, values %s, %d-key txns; SLO p99 <= %.0f ms at >= \
      %.0f%% completion; %d ms windows, seed %d\n"
-    params.L.Report.mix.L.Mix.name params.L.Report.keys
-    (L.Dist.to_string params.L.Report.value_dist)
-    params.L.Report.txn_size params.L.Report.slo.L.Saturation.p99_ms
+    b.mix.L.Mix.name b.keys
+    (L.Dist.to_string b.value_dist)
+    b.txn_size params.L.Report.slo.L.Saturation.p99_ms
     (100.0 *. params.L.Report.slo.L.Saturation.min_completion)
-    params.L.Report.duration_ms params.L.Report.seed;
+    (b.duration / Amoeba_sim.Time.ms 1)
+    b.seed;
   L.Report.print_header ();
   let rows =
     L.Report.sweep ~progress:L.Report.print_row ~smoke:!smoke_mode params
@@ -1216,33 +1112,14 @@ let micro_group_tput ~duration_ms () =
   let cl = Cluster.create ~n:8 () in
   let delivered = ref 0 in
   Cluster.spawn cl (fun () ->
-      let creator = Api.create_group (Cluster.flip cl 0) () in
-      let addr = Api.group_address creator in
-      let groups =
-        creator
-        :: List.init 7 (fun i ->
-               Result.get_ok (Api.join_group (Cluster.flip cl (i + 1)) addr))
-      in
-      List.iter
-        (fun g ->
-          Cluster.spawn cl (fun () ->
-              let rec loop () =
-                ignore (Api.receive_from_group g);
-                loop ()
-              in
-              loop ()))
-        groups;
+      let groups = E.build_group cl ~n:8 in
+      List.iter (E.drain_events cl) groups;
+      let creator = List.hd groups in
       let deadline = Amoeba_sim.Time.ms duration_ms in
       List.iter
         (fun g ->
-          Cluster.spawn cl (fun () ->
-              let rec loop () =
-                if Cluster.now cl < deadline then begin
-                  ignore (Api.send_to_group g Bytes.empty);
-                  loop ()
-                end
-              in
-              loop ()))
+          E.send_until cl ~deadline (fun () ->
+              ignore (Api.send_to_group g Bytes.empty)))
         groups;
       Cluster.spawn cl (fun () ->
           Amoeba_sim.Engine.sleep cl.Cluster.engine deadline;
@@ -1321,10 +1198,10 @@ let micro () =
      wire=100/batch=1/depth=1 row keeps tracking that regime.) *)
   let service_ops =
     (fst
-       (service_run ~shards:8 ~hosts:16 ~routers:4 ~replication:3
+       (service_run
           ~workers:(if !smoke_mode then 96 else 1_024)
           ~duration_ms:(if !smoke_mode then 400 else 2_000)
-          ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4 ~seed:11 ()))
+          { batch_bed with wire_mbps = 100; max_batch = 32; pipeline_depth = 4 }))
       .Amoeba_loadgen.Driver.throughput
   in
   let results =
@@ -1378,33 +1255,39 @@ let micro () =
     json_mode := saved
   end
 
-let targets : (string * (unit -> unit)) list =
+(* A target either prints its table, or also returns its section of
+   BENCH_service.json (service, batch, recovery, fabric, migration):
+   [main] writes that file once, with the sections of every target
+   run, in this list's order. *)
+type target = Run of (unit -> unit) | Section of (unit -> (string * Bench_json.t) list)
+
+let targets =
   [
-    ("headline", headline);
-    ("fig1", fig1);
-    ("table3", table3);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("rpc_compare", rpc_compare);
-    ("ablation_cm", ablation_cm);
-    ("ablation_migrate", ablation_migrate);
-    ("ablation_pbbb", ablation_pbbb);
-    ("ablation_processing", ablation_processing);
-    ("ablation_userspace", ablation_userspace);
-    ("ablation_history", ablation_history);
-    ("ablation_flowcontrol", ablation_flowcontrol);
-    ("load_latency", fig_load_latency);
-    ("service", service);
-    ("batch", batch);
-    ("recovery", recovery);
-    ("fabric", fabric);
-    ("migration", migration);
-    ("loadgen", loadgen);
-    ("micro", micro);
+    ("headline", Run headline);
+    ("fig1", Run fig1);
+    ("table3", Run table3);
+    ("fig3", Run fig3);
+    ("fig4", Run fig4);
+    ("fig5", Run fig5);
+    ("fig6", Run fig6);
+    ("fig7", Run fig7);
+    ("fig8", Run fig8);
+    ("rpc_compare", Run rpc_compare);
+    ("ablation_cm", Run ablation_cm);
+    ("ablation_migrate", Run ablation_migrate);
+    ("ablation_pbbb", Run ablation_pbbb);
+    ("ablation_processing", Run ablation_processing);
+    ("ablation_userspace", Run ablation_userspace);
+    ("ablation_history", Run ablation_history);
+    ("ablation_flowcontrol", Run ablation_flowcontrol);
+    ("load_latency", Run fig_load_latency);
+    ("service", Section service);
+    ("batch", Section batch);
+    ("recovery", Section recovery);
+    ("fabric", Section fabric);
+    ("migration", Section migration);
+    ("loadgen", Run loadgen);
+    ("micro", Run micro);
   ]
 
 let () =
@@ -1424,12 +1307,20 @@ let () =
   let requested =
     match args with _ :: _ as names -> names | [] -> List.map fst targets
   in
+  let sections = Hashtbl.create 5 in
   List.iter
     (fun name ->
       match List.assoc_opt name targets with
-      | Some f -> f ()
+      | Some (Run f) -> f ()
+      | Some (Section f) -> Hashtbl.replace sections name (f ())
       | None ->
           Printf.eprintf "unknown target %S; available: %s\n" name
             (String.concat " " (List.map fst targets));
           exit 1)
-    requested
+    requested;
+  if Hashtbl.length sections > 0 then
+    json_out "service"
+      (List.concat_map
+         (fun (name, _) ->
+           Option.value (Hashtbl.find_opt sections name) ~default:[])
+         targets)

@@ -12,19 +12,7 @@ open Cmdliner
 open Amoeba_harness
 module T = Amoeba_core.Types
 module E = Experiments
-
-let method_conv =
-  let parse = function
-    | "pb" -> Ok T.Pb
-    | "bb" -> Ok T.Bb
-    | "auto" -> Ok T.Auto
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S (pb|bb|auto)" s))
-  in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-  in
-  Arg.conv (parse, print)
+module Testbed = Amoeba_loadgen.Testbed
 
 (* --net takes a '+'-separated spec: each component is either a fabric
    (ether | shared | switch | switch:SxH[@U]) or a condition profile.
@@ -54,29 +42,10 @@ let net_t =
            loss), dup, reorder (delivery jitter), corrupt, or adversarial \
            (all of them, moderate).  Example: switch:2x48@10+bursty.")
 
-let disk_conv =
-  let open Amoeba_net.Cost_model in
-  let parse s =
-    match List.assoc_opt s disk_profiles with
-    | Some d -> Ok d
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown disk profile %S (%s)" s
-               (String.concat "|" (List.map fst disk_profiles))))
-  in
-  let print fmt d =
-    Format.pp_print_string fmt
-      (match List.find_opt (fun (_, d') -> d' = d) disk_profiles with
-      | Some (name, _) -> name
-      | None -> "<custom>")
-  in
-  Arg.conv (parse, print)
-
 let disk_t =
   Arg.(
     value
-    & opt (some disk_conv) None
+    & opt (some (enum Amoeba_net.Cost_model.disk_profiles)) None
     & info [ "disk" ]
         ~doc:
           "Give every machine a local disk with this timing profile \
@@ -91,10 +60,101 @@ let size_t =
   Arg.(value & opt int 0 & info [ "s"; "size" ] ~doc:"Message size in bytes.")
 
 let method_t =
-  Arg.(value & opt method_conv T.Pb & info [ "method" ] ~doc:"pb, bb or auto.")
+  Arg.(
+    value
+    & opt (enum [ ("pb", T.Pb); ("bb", T.Bb); ("auto", T.Auto) ]) T.Pb
+    & info [ "method" ] ~doc:"pb, bb or auto.")
 
 let resilience_t =
   Arg.(value & opt int 0 & info [ "r"; "resilience" ] ~doc:"Resilience degree.")
+
+(* Flags several commands share, each defined once; a command picks
+   its own default. *)
+
+let seed_t default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Simulation seed.")
+
+let duration_t ?(doc = "Simulated ms.") default =
+  Arg.(value & opt int default & info [ "duration" ] ~doc)
+
+let workers_t default =
+  Arg.(
+    value & opt int default
+    & info [ "workers" ]
+        ~doc:"Closed-loop clients (workload: ignored with --rate).")
+
+let shards_t default =
+  Arg.(
+    value & opt int default
+    & info [ "shards" ] ~doc:"Number of shards (groups).")
+
+let hosts_t default =
+  Arg.(
+    value & opt int default
+    & info [ "hosts" ]
+        ~doc:"Machines available to host replicas (routers come extra).")
+
+let routers_t default =
+  Arg.(
+    value & opt int default
+    & info [ "routers" ] ~doc:"Client machines, one router each.")
+
+let replication_t default =
+  Arg.(
+    value & opt int default & info [ "replication" ] ~doc:"Replicas per shard.")
+
+let wire_t default =
+  Arg.(
+    value & opt int default
+    & info [ "wire-mbps" ]
+        ~doc:
+          "Ethernet bit rate in Mbit/s (10 is the paper's testbed).  On the \
+           shared 10 Mbit wire the medium itself saturates near 850 ops/s \
+           whatever the shard count; 100 makes the machines the bottleneck \
+           again, the regime where shards scale.")
+
+let keys_t =
+  Arg.(value & opt int 1_000 & info [ "keys" ] ~doc:"Key space size.")
+
+let max_batch_t =
+  Arg.(
+    value & opt int 32
+    & info [ "max-batch" ]
+        ~doc:
+          "Router-side op batching: up to this many ops for one shard are \
+           shipped as one RPC, which the replica submits as one sequencer \
+           round (1 disables batching).")
+
+let pipeline_depth_t =
+  Arg.(
+    value & opt int 4
+    & info [ "pipeline-depth" ]
+        ~doc:
+          "Unacknowledged sequencer rounds each replica kernel may keep in \
+           flight (1 = the paper's lock-step send).")
+
+let rate_t =
+  Arg.(
+    value & opt (some float) None
+    & info [ "rate" ]
+        ~doc:
+          "Offer open-loop Poisson arrivals at this rate (ops/s): for \
+           workload instead of the closed loop, for loadgen one trial \
+           instead of the knee search.")
+
+let json_t =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Also print the measured result as a JSON object.  workload: the \
+           JSON reads the same ramp-excluded figures as the text, and \
+           per_shard counts the requests each shard served from the end of \
+           the ramp through the drain, retries included.  loadgen --sweep: \
+           validate and write BENCH_loadgen.json instead.")
+
+let print_json fields =
+  print_string (Bench_json.to_string (Bench_json.Obj fields))
 
 let delay_cmd =
   let run members size method_ r (fabric, net) =
@@ -113,9 +173,6 @@ let throughput_cmd =
   let senders_t =
     Arg.(value & opt int 8 & info [ "senders" ] ~doc:"Senders (= group size).")
   in
-  let duration_t =
-    Arg.(value & opt int 2000 & info [ "duration" ] ~doc:"Simulated ms.")
-  in
   let run senders size method_ r duration =
     let t =
       E.group_throughput ~duration_ms:duration ~resilience:r ~n:senders ~size
@@ -128,7 +185,9 @@ let throughput_cmd =
   in
   Cmd.v
     (Cmd.info "throughput" ~doc:"Measure group throughput (paper Figs 4/5/8).")
-    Term.(const run $ senders_t $ size_t $ method_t $ resilience_t $ duration_t)
+    Term.(
+      const run $ senders_t $ size_t $ method_t $ resilience_t
+      $ duration_t 2000)
 
 let multigroup_cmd =
   let groups_t = Arg.(value & opt int 5 & info [ "groups" ] ~doc:"Groups.") in
@@ -186,9 +245,6 @@ let rpc_cmd =
     Term.(const run $ const ())
 
 let chaos_cmd =
-  let seed_t =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule/workload seed.")
-  in
   let chaos_members_t =
     Arg.(value & opt int 4 & info [ "m"; "members" ] ~doc:"Group size.")
   in
@@ -247,33 +303,10 @@ let chaos_cmd =
           delivery, durability, incarnation and (with --disk) \
           durable-recovery invariants.")
     Term.(
-      const run $ seed_t $ chaos_members_t $ chaos_groups_t $ resilience_t
+      const run $ seed_t 1 $ chaos_members_t $ chaos_groups_t $ resilience_t
       $ method_t $ msgs_t $ schedule_t $ net_t $ disk_t)
 
 (* ----- the sharded service layer ----- *)
-
-let seed_t =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
-
-let shards_t =
-  Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Number of shards (groups).")
-
-let hosts_t =
-  Arg.(
-    value & opt int 8
-    & info [ "hosts" ] ~doc:"Machines available to host replicas.")
-
-let replication_t =
-  Arg.(value & opt int 3 & info [ "replication" ] ~doc:"Replicas per shard.")
-
-let max_batch_t =
-  Arg.(
-    value & opt int 32
-    & info [ "max-batch" ]
-        ~doc:
-          "Router-side op batching: up to this many ops for one shard are \
-           shipped as one RPC, which the replica submits as one sequencer \
-           round (1 disables batching).")
 
 let batch_delay_t =
   Arg.(
@@ -283,41 +316,36 @@ let batch_delay_t =
           "Nagle-style flush timer in microseconds: a partial batch ships \
            when this much time has passed since its first op.")
 
-let pipeline_depth_t =
-  Arg.(
-    value & opt int 4
-    & info [ "pipeline-depth" ]
-        ~doc:
-          "Unacknowledged sequencer rounds each replica kernel may keep in \
-           flight (1 = the paper's lock-step send).")
-
 let serve_cmd =
   let run shards hosts replication r seed max_batch batch_delay_us
       pipeline_depth =
-    let open Amoeba_sim in
     let open Amoeba_service in
-    let host_list = List.init hosts Fun.id in
-    let map = Shard_map.create ~shards ~replication ~hosts:host_list () in
+    let tb =
+      Testbed.create
+        {
+          Testbed.default with
+          shards;
+          hosts;
+          replication;
+          resilience = r;
+          pipeline_depth;
+          max_batch;
+          batch_delay_us;
+          seed;
+        }
+    in
+    let cl = tb.cluster and map = tb.map in
     Format.printf "%a@." Shard_map.pp map;
-    let n = hosts + 1 in
-    let cl = Cluster.create ~seed ~n () in
     Cluster.spawn cl (fun () ->
-        let svc =
-          Service.deploy cl ~map ~resilience:r ~pipeline:pipeline_depth ()
-        in
-        let router =
-          Router.create (Cluster.flip cl hosts) ~map ~max_batch
-            ~pipeline:(if max_batch > 1 then 1 else 4)
-            ~batch_delay:(Time.us batch_delay_us)
-            ~endpoints:(Service.endpoints svc) ()
-        in
+        let live = Testbed.deploy tb in
+        let svc = live.deployed and router = List.hd live.routers in
         for i = 0 to (4 * shards) - 1 do
           ignore
             (Router.put router
                (Printf.sprintf "demo-%d" i)
                (Printf.sprintf "value-%d" i))
         done;
-        Engine.sleep cl.Cluster.engine (Amoeba_sim.Time.ms 300);
+        Amoeba_sim.Engine.sleep cl.Cluster.engine (Amoeba_sim.Time.ms 300);
         Printf.printf "service up: %d shard(s) x %d replica(s), %d demo writes\n"
           shards
           (Shard_map.replication map)
@@ -337,18 +365,10 @@ let serve_cmd =
          "Deploy the sharded key/value service (one replicated group per \
           shard) and show its placement.")
     Term.(
-      const run $ shards_t $ hosts_t $ replication_t $ resilience_t $ seed_t
-      $ max_batch_t $ batch_delay_t $ pipeline_depth_t)
+      const run $ shards_t 4 $ hosts_t 8 $ replication_t 3 $ resilience_t
+      $ seed_t 1 $ max_batch_t $ batch_delay_t $ pipeline_depth_t)
 
 let workload_cmd =
-  let routers_t =
-    Arg.(
-      value & opt int 4
-      & info [ "routers" ] ~doc:"Client machines, one router each.")
-  in
-  let keys_t =
-    Arg.(value & opt int 1000 & info [ "keys" ] ~doc:"Key space size.")
-  in
   let value_bytes_t =
     Arg.(value & opt int 32 & info [ "value-bytes" ] ~doc:"Value size.")
   in
@@ -359,7 +379,10 @@ let workload_cmd =
   in
   let dist_t =
     Arg.(
-      value & opt string "uniform"
+      value
+      & opt
+          (enum [ ("uniform", `Uniform); ("zipf", `Zipf); ("latest", `Latest) ])
+          `Uniform
       & info [ "dist" ]
           ~doc:
             "Key popularity: uniform, zipf, or latest (YCSB-D's \
@@ -370,19 +393,6 @@ let workload_cmd =
     Arg.(
       value & opt float 0.99
       & info [ "skew" ] ~doc:"Skew exponent (with --dist zipf or latest).")
-  in
-  let workers_t =
-    Arg.(
-      value & opt int 16
-      & info [ "workers" ] ~doc:"Closed-loop clients (ignored with --rate).")
-  in
-  let rate_t =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rate" ] ~doc:"Open-loop arrival rate (ops per second).")
-  in
-  let duration_t =
-    Arg.(value & opt int 5000 & info [ "duration" ] ~doc:"Simulated ms.")
   in
   let ramp_t =
     Arg.(
@@ -416,16 +426,6 @@ let workload_cmd =
              probe/suspect/failover path; invariants are checked per shard \
              afterwards.")
   in
-  let wire_t =
-    Arg.(
-      value & opt int 10
-      & info [ "wire-mbps" ]
-          ~doc:
-            "Ethernet bit rate in Mbit/s (default 10, the paper's testbed). \
-             On the shared 10 Mbit wire the medium itself saturates near 850 \
-             ops/s whatever the shard count; 100 makes the machines the \
-             bottleneck again, the regime where shards scale.")
-  in
   let checkpoint_every_t =
     Arg.(
       value & opt int 64
@@ -436,28 +436,15 @@ let workload_cmd =
   in
   let fsync_t =
     let open Amoeba_grouplib.Rsm in
-    let fsync_conv =
-      let parse = function
-        | "commit" -> Ok Every_commit
-        | "group" -> Ok (Group_fsync 8)
-        | "checkpoint" -> Ok Checkpoint_only
-        | s ->
-            Error
-              (`Msg
-                (Printf.sprintf "unknown fsync policy %S \
-                                 (commit|group|checkpoint)" s))
-      in
-      let print fmt p =
-        Format.pp_print_string fmt
-          (match p with
-          | Every_commit -> "commit"
-          | Group_fsync _ -> "group"
-          | Checkpoint_only -> "checkpoint")
-      in
-      Arg.conv (parse, print)
+    let policies =
+      [
+        ("commit", Every_commit);
+        ("group", Group_fsync 8);
+        ("checkpoint", Checkpoint_only);
+      ]
     in
     Arg.(
-      value & opt fsync_conv (Group_fsync 8)
+      value & opt (enum policies) (Group_fsync 8)
       & info [ "fsync" ]
           ~doc:
             "With --disk: when a replica fsyncs its WAL.  'commit' syncs \
@@ -511,17 +498,6 @@ let workload_cmd =
              it sequences onto the coldest fresh hosts.  Pair with --dist \
              zipf, whose hot-key skew is what trips it.")
   in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Also print the measured result as a JSON object.  The JSON \
-             figures read the same ramp-excluded accumulator as the text \
-             figures, so the two cannot disagree about warmup exclusion; \
-             per_shard counts the requests each shard served from the end \
-             of the ramp through the drain, retries included.")
-  in
   let run shards hosts routers replication r keys value_bytes read_ratio dist
       skew workers rate duration_ms ramp_ms seed (fabric, net) wire_mbps
       crash_seq
@@ -532,28 +508,14 @@ let workload_cmd =
     let open Amoeba_service in
     let dist =
       match dist with
-      | "uniform" -> Keygen.Uniform
-      | "zipf" -> Keygen.Zipf skew
-      | "latest" -> Keygen.Latest skew
-      | s ->
-          Printf.eprintf "unknown distribution %S (uniform|zipf|latest)\n" s;
-          exit 2
+      | `Uniform -> Keygen.Uniform
+      | `Zipf -> Keygen.Zipf skew
+      | `Latest -> Keygen.Latest skew
     in
     if power_cycle && disk = None then begin
       Printf.eprintf "--power-cycle needs a disk (pass --disk)\n";
       exit 2
     end;
-    let host_list = List.init hosts Fun.id in
-    let map = Shard_map.create ~shards ~replication ~hosts:host_list () in
-    let n = hosts + routers in
-    let cost =
-      let base = Amoeba_net.Cost_model.(with_mbps wire_mbps default) in
-      match disk with
-      | Some d -> { base with Amoeba_net.Cost_model.disk = d }
-      | None -> base
-    in
-    let cl = Cluster.create ~cost ~seed ~fabric ~n () in
-    let eng = cl.Cluster.engine in
     let duration = Amoeba_sim.Time.ms duration_ms in
     let failed = ref false in
     let crashing = crash_seq || crash_follower in
@@ -564,74 +526,45 @@ let workload_cmd =
        tap is a pure callback with no simulated cost, so enabling it
        does not move any measured figure. *)
     let checking = crashing || migrate || rebalance in
-    let durable =
-      Option.map
-        (fun _ ->
-          {
-            Service.d_store = Amoeba_grouplib.Stable_store.create ();
-            d_sync = fsync;
-            d_checkpoint_every = checkpoint_every;
-          })
-        disk
+    let tb =
+      Testbed.create
+        {
+          Testbed.shards;
+          hosts;
+          routers;
+          replication;
+          resilience = r;
+          fabric;
+          wire_mbps;
+          disk;
+          fsync;
+          checkpoint_every;
+          pipeline_depth;
+          record = checking;
+          max_batch;
+          batch_delay_us;
+          stale_reads;
+          seed;
+        }
     in
+    let cl = tb.cluster and map = tb.map in
+    let eng = cl.Cluster.engine in
     Cluster.spawn cl (fun () ->
         if net <> Amoeba_net.Medium.clean then
           Amoeba_net.Medium.set_conditions cl.Cluster.net net;
-        let svc =
-          Service.deploy cl ~map ~resilience:r ~pipeline:pipeline_depth
-            ~record:checking ?durable ()
-        in
-        (* In batching mode one worker per shard is the sweet spot: a
-           single accumulation-and-ship pipeline per (router, shard)
-           forms the largest batches and keeps replica endpoints
-           uncontended; concurrency across routers and the kernel's
-           pipelining cover the in-flight depth. *)
-        let rs =
-          List.init routers (fun i ->
-              Router.create
-                (Cluster.flip cl (hosts + i))
-                ~map ~max_batch ~stale_reads
-                ~pipeline:(if max_batch > 1 then 1 else 4)
-                ~batch_delay:(Amoeba_sim.Time.us batch_delay_us)
-                ~endpoints:(Service.endpoints svc) ())
-        in
-        (* The service serving the routers: a power cycle swaps in the
-           recovered one. *)
-        let current = ref svc in
+        let live = Testbed.deploy tb in
+        let svc = live.deployed and rs = live.routers in
         (if power_cycle then
-           let dc = Option.get durable in
            Cluster.spawn cl (fun () ->
                Engine.sleep eng (duration / 4);
-               (* Sentinel writes: the acked ones are the durability
-                  obligations the cycle must not revoke. *)
-               let router0 = List.hd rs in
-               let acked = ref [] in
-               for i = 0 to 9 do
-                 let k = Printf.sprintf "sentinel-%d" i in
-                 match Router.put router0 k (Printf.sprintf "s%d" i) with
-                 | Router.Written -> acked := i :: !acked
-                 | _ -> ()
-               done;
+               Testbed.write_sentinels live 10;
                let cut = duration / 2 in
                let now = Engine.now eng in
                if cut > now then Engine.sleep eng (cut - now);
                Printf.printf
                  "power loss: all %d server hosts down at t=%.1fs\n%!" hosts
                  (Amoeba_sim.Time.to_sec (Engine.now eng));
-               List.iter
-                 (fun h -> Amoeba_net.Machine.crash (Cluster.machine cl h))
-                 host_list;
-               Engine.sleep eng (Amoeba_sim.Time.ms 275);
-               List.iter (fun h -> Cluster.restart cl h) host_list;
-               let svc' =
-                 Service.recover cl ~map ~durable:dc ~resilience:r
-                   ~pipeline:pipeline_depth ()
-               in
-               current := svc';
-               List.iter
-                 (fun router ->
-                   Router.update_endpoints router (Service.endpoints svc'))
-                 rs;
+               let svc' = Testbed.power_cycle live in
                List.iter
                  (fun sr ->
                    Printf.printf "recovered: shard %d from m%d at %d applied (%s)\n%!"
@@ -646,19 +579,12 @@ let workload_cmd =
                                | None -> string_of_int hr.Service.hr_applied))
                            sr.Service.sr_hosts)))
                  (Service.recovery_report svc');
-               let lost = ref [] in
-               List.iter
-                 (fun i ->
-                   let k = Printf.sprintf "sentinel-%d" i in
-                   match Router.get router0 k with
-                   | Router.Value _ -> ()
-                   | _ -> lost := k :: !lost)
-                 (List.rev !acked);
+               let lost = Testbed.read_back live in
                Printf.printf "sentinels: %d acked, %d lost across the cycle%s\n%!"
-                 (List.length !acked) (List.length !lost)
-                 (if !lost = [] then ""
-                  else " (" ^ String.concat ", " !lost ^ ")");
-               match (dc.Service.d_sync, !lost) with
+                 (List.length live.sentinels) (List.length lost)
+                 (if lost = [] then ""
+                  else " (" ^ String.concat ", " (List.rev lost) ^ ")");
+               match (fsync, lost) with
                | _, [] -> ()
                | Amoeba_grouplib.Rsm.Every_commit, _ ->
                    Printf.printf
@@ -667,11 +593,6 @@ let workload_cmd =
                | _ ->
                    Printf.printf
                      "(allowed by the fsync policy's trailing window)\n%!"));
-        let repoint () =
-          List.iter
-            (fun router -> Router.update_endpoints router (Service.endpoints svc))
-            rs
-        in
         let pp_hosts hs =
           String.concat "," (List.map (Printf.sprintf "m%d") hs)
         in
@@ -680,7 +601,7 @@ let workload_cmd =
                Engine.sleep eng (duration / 3);
                let cur = Shard_map.replica_hosts (Service.map svc) 0 in
                let free =
-                 List.filter (fun h -> not (List.mem h cur)) host_list
+                 List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts map)
                in
                let k = List.length cur in
                if List.length free < k then
@@ -693,7 +614,7 @@ let workload_cmd =
                  let t0 = Engine.now eng in
                  match Service.migrate_shard svc ~shard:0 ~hosts:tgt () with
                  | Ok () ->
-                     repoint ();
+                     Testbed.repoint live;
                      Printf.printf
                        "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
                        (pp_hosts cur)
@@ -707,7 +628,7 @@ let workload_cmd =
                 ~on_move:(fun mv ->
                   match mv.Rebalancer.mv_result with
                   | Ok () ->
-                      repoint ();
+                      Testbed.repoint live;
                       Printf.printf
                         "rebalanced: shard %d [%s] -> [%s] at t=%.1fs\n%!"
                         mv.Rebalancer.mv_shard
@@ -718,31 +639,24 @@ let workload_cmd =
                       Printf.printf "rebalance: shard %d move failed: %s\n%!"
                         mv.Rebalancer.mv_shard e)
                 ()));
-        let crash_at delay what h =
+        let crash_at what h =
           Cluster.spawn cl (fun () ->
-              Engine.sleep eng delay;
+              Engine.sleep eng (duration / 2);
               Printf.printf "crashing m%d (shard 0's %s) at t=%.1fs\n%!" h what
                 (Amoeba_sim.Time.to_sec (Engine.now eng));
-              Amoeba_net.Machine.crash (Cluster.machine cl h))
+              Amoeba_net.Machine.crash (Cluster.machine cl h));
+          [ h ]
         in
         let crashed =
-          (if crash_seq then begin
-             let h = Shard_map.sequencer_host map 0 in
-             crash_at (duration / 2) "sequencer" h;
-             [ h ]
-           end
+          (if crash_seq then crash_at "sequencer" (Shard_map.sequencer_host map 0)
            else [])
           @
-          if crash_follower then begin
-            match Shard_map.replica_hosts map 0 with
-            | _seq :: follower :: _ ->
-                crash_at (duration / 2) "serving follower" follower;
-                [ follower ]
-            | _ ->
-                Printf.eprintf "--crash-follower needs replication >= 2\n";
-                exit 2
-          end
-          else []
+          match (crash_follower, Shard_map.replica_hosts map 0) with
+          | false, _ -> []
+          | true, _seq :: follower :: _ -> crash_at "serving follower" follower
+          | true, _ ->
+              Printf.eprintf "--crash-follower needs replication >= 2\n";
+              exit 2
         in
         let module D = Amoeba_loadgen.Driver in
         let load =
@@ -755,7 +669,7 @@ let workload_cmd =
         let at_warmup = ref (svc, Service.shard_ops svc) in
         Cluster.spawn cl (fun () ->
             Engine.sleep eng warmup;
-            at_warmup := (!current, Service.shard_ops !current));
+            at_warmup := (live.serving, Service.shard_ops live.serving));
         let res =
           D.drive cl ~map ~routers:rs
             {
@@ -772,9 +686,9 @@ let workload_cmd =
         let per_shard =
           let s0, base = !at_warmup in
           let ops = Array.map2 ( - ) (Service.shard_ops s0) base in
-          if !current != s0 then
+          if live.serving != s0 then
             Array.iteri (fun i c -> ops.(i) <- ops.(i) + c)
-              (Service.shard_ops !current);
+              (Service.shard_ops live.serving);
           Array.to_list ops
         in
         Format.printf "%a@.per shard: %s@." D.pp_trial res
@@ -785,25 +699,23 @@ let workload_cmd =
           failed := true
         end;
         if json then
-          print_string
-            (Bench_json.to_string
-               (Bench_json.Obj
-                  [
-                    ("attempted", Bench_json.Int res.D.attempted);
-                    ("completed", Bench_json.Int res.D.completed);
-                    ("failed", Bench_json.Int res.D.failed);
-                    ("ops_per_sec", Bench_json.Float res.D.throughput);
-                    ("mean_ms", Bench_json.Float res.D.mean_ms);
-                    ("p50_ms", Bench_json.Float res.D.p50_ms);
-                    ("p95_ms", Bench_json.Float res.D.p95_ms);
-                    ("p99_ms", Bench_json.Float res.D.p99_ms);
-                    ("max_ms", Bench_json.Float res.D.max_ms);
-                    ("reads", Bench_json.Int res.D.reads);
-                    ("writes", Bench_json.Int res.D.updates);
-                    ( "per_shard",
-                      Bench_json.List
-                        (List.map (fun c -> Bench_json.Int c) per_shard) );
-                  ]));
+          print_json
+            [
+              ("attempted", Bench_json.Int res.D.attempted);
+              ("completed", Bench_json.Int res.D.completed);
+              ("failed", Bench_json.Int res.D.failed);
+              ("ops_per_sec", Bench_json.Float res.D.throughput);
+              ("mean_ms", Bench_json.Float res.D.mean_ms);
+              ("p50_ms", Bench_json.Float res.D.p50_ms);
+              ("p95_ms", Bench_json.Float res.D.p95_ms);
+              ("p99_ms", Bench_json.Float res.D.p99_ms);
+              ("max_ms", Bench_json.Float res.D.max_ms);
+              ("reads", Bench_json.Int res.D.reads);
+              ("writes", Bench_json.Int res.D.updates);
+              ( "per_shard",
+                Bench_json.List (List.map (fun c -> Bench_json.Int c) per_shard)
+              );
+            ];
         let agg f = List.fold_left (fun a r -> a + f (Router.stats r)) 0 rs in
         Printf.printf
           "routers:   %d ops, %d retries, %d failovers, %d dead probes\n"
@@ -823,20 +735,6 @@ let workload_cmd =
           (agg (fun s -> s.Router.batch_retries));
         Printf.printf "service:   %d reads, %d writes ok, %d busy rejections\n"
           (Service.reads svc) (Service.writes_ok svc) (Service.writes_busy svc);
-        (* Per-replica applied counts by shard: identical numbers mean a
-           healthy group, divergent ones a fissioned membership — the
-           fingerprint that cracked the 32-shard herd collapse.  Env-
-           gated so normal output stays stable for the smoke aliases. *)
-        (try
-           if Sys.getenv "AMOEBA_SHARD_DEBUG" = "1" then
-             for s = 0 to shards - 1 do
-               Printf.printf "shard %d applied: %s\n" s
-                 (String.concat " "
-                    (List.map
-                       (fun (h, a) -> Printf.sprintf "m%d:%d" h a)
-                       (Service.applied svc s)))
-             done
-         with Not_found -> ());
         let m = cl.Cluster.net in
         Printf.printf
           "fabric:    %.1f%% utilisation, %d frames, %d KB, %d collisions, %d \
@@ -846,7 +744,7 @@ let workload_cmd =
           (Amoeba_net.Medium.bytes_delivered m / 1024)
           (Amoeba_net.Medium.collisions m)
           (Amoeba_net.Medium.queue_drops m);
-        (match durable with
+        (match tb.durable with
         | None -> ()
         | Some dc ->
             let c = Amoeba_grouplib.Stable_store.counters dc.Service.d_store in
@@ -866,13 +764,10 @@ let workload_cmd =
             (agg (fun s -> s.Router.stale_gets));
         if checking then begin
           List.iter
-            (fun (shard, vs) ->
-              List.iter
-                (fun v ->
-                  Format.printf "shard %d: %a@." shard Checker.pp_verdict v;
-                  if not v.Checker.ok then failed := true)
-                vs)
-            (Service.check svc ~crashed);
+            (fun (label, v) ->
+              Format.printf "%s: %a@." label Checker.pp_verdict v;
+              if not v.Checker.ok then failed := true)
+            (Testbed.verdicts svc ~crashed);
           Printf.printf "verdict:   %s\n"
             (if !failed then "FAIL" else "PASS")
         end);
@@ -885,17 +780,15 @@ let workload_cmd =
          "Drive the sharded service with a measured open- or closed-loop \
           key/value workload (aggregate throughput, latency percentiles).")
     Term.(
-      const run $ shards_t $ hosts_t $ routers_t $ replication_t $ resilience_t
-      $ keys_t $ value_bytes_t $ read_ratio_t $ dist_t $ skew_t $ workers_t
-      $ rate_t $ duration_t $ ramp_t $ seed_t $ net_t $ wire_t $ crash_seq_t
+      const run $ shards_t 4 $ hosts_t 8 $ routers_t 4 $ replication_t 3
+      $ resilience_t $ keys_t $ value_bytes_t $ read_ratio_t $ dist_t $ skew_t
+      $ workers_t 16 $ rate_t $ duration_t 5000 $ ramp_t $ seed_t 1 $ net_t
+      $ wire_t 10 $ crash_seq_t
       $ crash_follower_t $ max_batch_t $ batch_delay_t $ pipeline_depth_t
       $ disk_t $ checkpoint_every_t $ fsync_t $ power_cycle_t $ stale_reads_t
       $ migrate_t $ rebalance_t $ json_t)
 
 let migration_chaos_cmd =
-  let seed_t =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed.")
-  in
   let crash_source_t =
     Arg.(
       value & flag
@@ -917,12 +810,6 @@ let migration_chaos_cmd =
              later, recover from the union of old and new replica disks, \
              and read back the pre-migration sentinels (fsync-per-commit: \
              any acked sentinel lost fails the run).")
-  in
-  let workers_t =
-    Arg.(value & opt int 8 & info [ "workers" ] ~doc:"Closed-loop clients.")
-  in
-  let duration_t =
-    Arg.(value & opt int 1200 & info [ "duration" ] ~doc:"Simulated ms.")
   in
   let run seed (fabric, net) crash_source crash_dest power_cycle workers
       duration_ms =
@@ -951,8 +838,8 @@ let migration_chaos_cmd =
           sequencer, the destination, and/or power-cycling the cluster, \
           then check migration-safety plus the classic invariants.")
     Term.(
-      const run $ seed_t $ net_t $ crash_source_t $ crash_dest_t
-      $ power_cycle_t $ workers_t $ duration_t)
+      const run $ seed_t 1 $ net_t $ crash_source_t $ crash_dest_t
+      $ power_cycle_t $ workers_t 8 $ duration_t 1200)
 
 let loadgen_cmd =
   let module L = Amoeba_loadgen in
@@ -978,9 +865,6 @@ let loadgen_cmd =
       value & opt int 3
       & info [ "txn-size" ] ~doc:"Keys per multi-key transaction.")
   in
-  let keys_t =
-    Arg.(value & opt int 1_000 & info [ "keys" ] ~doc:"Key space size.")
-  in
   let value_dist_t =
     Arg.(
       value & opt string "fixed:32"
@@ -989,41 +873,12 @@ let loadgen_cmd =
             "Value size distribution: fixed:N, uniform:MIN:MAX, or \
              lognormal:MEDIAN:SIGMA.")
   in
-  let shards_t =
-    Arg.(value & opt int 1 & info [ "shards" ] ~doc:"Shard count.")
-  in
-  let hosts_t =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~doc:"Replica host machines.")
-  in
-  let routers_t =
-    Arg.(value & opt int 2 & info [ "routers" ] ~doc:"Router machines.")
-  in
-  let replication_t =
-    Arg.(value & opt int 2 & info [ "replication" ] ~doc:"Replicas per shard.")
-  in
-  let wire_t =
-    Arg.(value & opt int 100 & info [ "wire-mbps" ] ~doc:"Wire speed, Mbit/s.")
-  in
-  let max_batch_t =
-    Arg.(value & opt int 32 & info [ "max-batch" ] ~doc:"Router op batching.")
-  in
-  let pipeline_depth_t =
-    Arg.(
-      value & opt int 4
-      & info [ "pipeline-depth" ] ~doc:"Kernel in-flight sequencer rounds.")
-  in
-  let duration_t =
-    Arg.(
-      value & opt int 2_000
-      & info [ "duration" ] ~doc:"Measured window per trial, simulated ms.")
-  in
   let warmup_t =
     Arg.(
       value & opt int 500
       & info [ "warmup" ]
           ~doc:"Warmup per trial, simulated ms (excluded from figures).")
   in
-  let seed_t = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Trial seed.") in
   let slo_t =
     Arg.(
       value & opt float 50.0
@@ -1034,14 +889,6 @@ let loadgen_cmd =
       value & opt float 0.95
       & info [ "min-completion" ]
           ~doc:"And completed/attempted must reach this.")
-  in
-  let rate_t =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rate" ]
-          ~doc:
-            "Run one open-loop trial at this offered rate (ops/s) instead \
-             of searching for the knee.")
   in
   let lo_t =
     Arg.(
@@ -1072,14 +919,6 @@ let loadgen_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:"Tiny windows, key space and probe budget (CI parameters).")
-  in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "With --sweep: validate and write BENCH_loadgen.json.  \
-             Otherwise: also print the outcome as a JSON object.")
   in
   let run mix txn_ratio txn_size keys value_dist shards hosts routers
       replication wire_mbps max_batch pipeline_depth (fabric, net) duration_ms
@@ -1112,26 +951,28 @@ let loadgen_cmd =
     let max_probes = if smoke then min max_probes 8 else max_probes in
     let tol = if smoke then Float.max tol 0.25 else tol in
     let lo = if smoke then Float.max lo 100.0 else lo in
+    let cfg =
+      {
+        L.Driver.shards;
+        hosts;
+        routers;
+        replication;
+        wire_mbps;
+        net = (fabric, net);
+        max_batch;
+        batch_delay_us = 500;
+        pipeline_depth;
+        mix;
+        keys;
+        value_dist;
+        txn_size;
+        duration = Amoeba_sim.Time.ms duration_ms;
+        warmup = Amoeba_sim.Time.ms warmup_ms;
+        seed;
+      }
+    in
+    let params = { L.Report.base = cfg; slo; lo; tol; max_probes } in
     if sweep then begin
-      let params =
-        {
-          L.Report.slo;
-          mix;
-          keys;
-          value_dist;
-          txn_size;
-          duration_ms;
-          warmup_ms;
-          replication;
-          wire_mbps;
-          max_batch;
-          pipeline_depth;
-          lo;
-          tol;
-          max_probes;
-          seed;
-        }
-      in
       L.Report.print_header ();
       let rows =
         L.Report.sweep ~progress:L.Report.print_row ~smoke params
@@ -1140,68 +981,35 @@ let loadgen_cmd =
         L.Report.write_json ~path:"BENCH_loadgen.json" params rows
     end
     else begin
-      let cfg =
-        {
-          L.Driver.shards;
-          hosts;
-          routers;
-          replication;
-          wire_mbps;
-          net = (fabric, net);
-          max_batch;
-          batch_delay_us = 500;
-          pipeline_depth;
-          mix;
-          keys;
-          value_dist;
-          txn_size;
-          duration = Amoeba_sim.Time.ms duration_ms;
-          warmup = Amoeba_sim.Time.ms warmup_ms;
-          seed;
-        }
-      in
       match rate with
       | Some rate ->
           let t = L.Driver.run cfg ~rate in
           Format.printf "%a@." L.Driver.pp_trial t;
           if json then
-            print_string
-              (Bench_json.to_string
-                 (Bench_json.Obj
-                    [
-                      ("offered", Bench_json.Float t.L.Driver.offered);
-                      ("attempted", Bench_json.Int t.L.Driver.attempted);
-                      ("completed", Bench_json.Int t.L.Driver.completed);
-                      ("failed", Bench_json.Int t.L.Driver.failed);
-                      ("throughput", Bench_json.Float t.L.Driver.throughput);
-                      ("completion", Bench_json.Float t.L.Driver.completion);
-                      ("p50_ms", Bench_json.Float t.L.Driver.p50_ms);
-                      ("p95_ms", Bench_json.Float t.L.Driver.p95_ms);
-                      ("p99_ms", Bench_json.Float t.L.Driver.p99_ms);
-                    ]))
+            print_json
+              [
+                ("offered", Bench_json.Float t.L.Driver.offered);
+                ("attempted", Bench_json.Int t.L.Driver.attempted);
+                ("completed", Bench_json.Int t.L.Driver.completed);
+                ("failed", Bench_json.Int t.L.Driver.failed);
+                ("throughput", Bench_json.Float t.L.Driver.throughput);
+                ("completion", Bench_json.Float t.L.Driver.completion);
+                ("p50_ms", Bench_json.Float t.L.Driver.p50_ms);
+                ("p95_ms", Bench_json.Float t.L.Driver.p95_ms);
+                ("p99_ms", Bench_json.Float t.L.Driver.p99_ms);
+              ]
       | None ->
-          let measure rate =
-            let t = L.Driver.run cfg ~rate in
-            {
-              L.Saturation.m_p99_ms = t.L.Driver.p99_ms;
-              m_completion = t.L.Driver.completion;
-              m_throughput = t.L.Driver.throughput;
-            }
-          in
-          let o = L.Saturation.search ~lo ~tol ~max_probes ~slo measure in
+          let o = L.Report.knee params in
           Format.printf "%a@." L.Saturation.pp_outcome o;
           if json then
-            print_string
-              (Bench_json.to_string
-                 (Bench_json.Obj
-                    [
-                      ("knee_ops_per_sec", Bench_json.Float o.L.Saturation.knee);
-                      ( "throughput_at_knee",
-                        Bench_json.Float o.L.Saturation.throughput_at_knee );
-                      ( "probes",
-                        Bench_json.Int (List.length o.L.Saturation.probes) );
-                      ("converged", Bench_json.Bool o.L.Saturation.converged);
-                    ]))
+            print_json
+              [
+                ("knee_ops_per_sec", Bench_json.Float o.L.Saturation.knee);
+                ( "throughput_at_knee",
+                  Bench_json.Float o.L.Saturation.throughput_at_knee );
+                ("probes", Bench_json.Int (List.length o.L.Saturation.probes));
+                ("converged", Bench_json.Bool o.L.Saturation.converged);
+              ]
     end
   in
   Cmd.v
@@ -1213,8 +1021,10 @@ let loadgen_cmd =
           a full shard x fabric sweep.")
     Term.(
       const run $ mix_t $ txn_ratio_t $ txn_size_t $ keys_t $ value_dist_t
-      $ shards_t $ hosts_t $ routers_t $ replication_t $ wire_t $ max_batch_t
-      $ pipeline_depth_t $ net_t $ duration_t $ warmup_t $ seed_t $ slo_t
+      $ shards_t 1 $ hosts_t 4 $ routers_t 2 $ replication_t 2 $ wire_t 100
+      $ max_batch_t $ pipeline_depth_t $ net_t
+      $ duration_t ~doc:"Measured window per trial, simulated ms." 2_000
+      $ warmup_t $ seed_t 11 $ slo_t
       $ min_completion_t $ rate_t $ lo_t $ tol_t $ max_probes_t $ sweep_t
       $ smoke_t $ json_t)
 

@@ -36,24 +36,39 @@ let baseline_name = function
    grow without bound (and so receive-side user costs are charged, as
    in the paper's experiments where all members call
    ReceiveFromGroup). *)
-let drain_events cl g =
+let drain cl recv =
   Cluster.spawn cl (fun () ->
       let rec loop () =
-        ignore (Api.receive_from_group g);
+        ignore (recv ());
         loop ()
       in
       loop ())
 
-let build_group ?(resilience = 0) ?(send_method = T.Pb) ?history cl ~n =
+let drain_events cl g = drain cl (fun () -> Api.receive_from_group g)
+
+(* A closed-loop sender: calls [f] back to back until [deadline]. *)
+let send_until cl ~deadline f =
+  Cluster.spawn cl (fun () ->
+      let rec loop () =
+        if Cluster.now cl < deadline then begin
+          f ();
+          loop ()
+        end
+      in
+      loop ())
+
+let build_group ?(resilience = 0) ?(send_method = T.Pb) ?history ?(base = 0) cl
+    ~n =
   let creator =
-    Api.create_group (Cluster.flip cl 0) ~resilience ~send_method ?history ()
+    Api.create_group (Cluster.flip cl base) ~resilience ~send_method ?history ()
   in
   let addr = Api.group_address creator in
   let joiners =
     List.init (n - 1) (fun i ->
         match
-          Api.join_group (Cluster.flip cl (i + 1)) ~resilience ~send_method
-            ?history addr
+          Api.join_group
+            (Cluster.flip cl (base + i + 1))
+            ~resilience ~send_method ?history addr
         with
         | Ok g -> g
         | Error e -> failwith ("join failed: " ^ T.error_to_string e))
@@ -108,7 +123,7 @@ let sum_rx_dropped cl =
     0 cl.Cluster.machines
 
 let group_throughput ?(cost = Cost_model.default) ?(duration_ms = 2_000)
-    ?(resilience = 0) ?history ~n ~size ~send_method () =
+    ?(resilience = 0) ?history ?senders ~n ~size ~send_method () =
   let cl = Cluster.create ~cost ~n:(max n 2) () in
   let measured = ref (0., 0, 0) in
   let deadline = Time.ms duration_ms in
@@ -117,16 +132,11 @@ let group_throughput ?(cost = Cost_model.default) ?(duration_ms = 2_000)
       let groups = build_group ~resilience ~send_method ?history cl ~n in
       List.iter (drain_events cl) groups;
       let payload = Bytes.create size in
-      List.iter
-        (fun g ->
-          Cluster.spawn cl (fun () ->
-              let rec loop () =
-                if Cluster.now cl < deadline then begin
-                  ignore (Api.send_to_group g payload);
-                  loop ()
-                end
-              in
-              loop ()))
+      List.iteri
+        (fun i g ->
+          if Option.fold ~none:true ~some:(List.mem i) senders then
+            send_until cl ~deadline (fun () ->
+                ignore (Api.send_to_group g payload)))
         groups;
       let sequencer = List.hd groups in
       Cluster.spawn cl (fun () ->
@@ -160,32 +170,17 @@ let multigroup_throughput ?(duration_ms = 2_000) ~groups ~members () =
   let warmup = deadline / 4 in
   let measured = ref (0., 0., 0) in
   Cluster.spawn cl (fun () ->
-      let sequencers = ref [] in
-      for g = 0 to groups - 1 do
-        let base = g * members in
-        let creator = Api.create_group (Cluster.flip cl base) () in
-        sequencers := creator :: !sequencers;
-        let addr = Api.group_address creator in
-        let mems =
-          creator
-          :: List.init (members - 1) (fun i ->
-                 match Api.join_group (Cluster.flip cl (base + i + 1)) addr with
-                 | Ok m -> m
-                 | Error e -> failwith ("join failed: " ^ T.error_to_string e))
-        in
-        List.iter (drain_events cl) mems;
-        List.iter
-          (fun m ->
-            Cluster.spawn cl (fun () ->
-                let rec loop () =
-                  if Cluster.now cl < deadline then begin
-                    ignore (Api.send_to_group m Bytes.empty);
-                    loop ()
-                  end
-                in
-                loop ()))
-          mems
-      done;
+      let sequencers =
+        List.init groups (fun g ->
+            let mems = build_group ~base:(g * members) cl ~n:members in
+            List.iter (drain_events cl) mems;
+            List.iter
+              (fun m ->
+                send_until cl ~deadline (fun () ->
+                    ignore (Api.send_to_group m Bytes.empty)))
+              mems;
+            List.hd mems)
+      in
       Cluster.spawn cl (fun () ->
           Engine.sleep cl.Cluster.engine warmup;
           (* Measure utilisation over the same window as the message
@@ -194,7 +189,7 @@ let multigroup_throughput ?(duration_ms = 2_000) ~groups ~members () =
           let count () =
             List.fold_left
               (fun acc s -> acc + Kernel.next_expected (Api.kernel s))
-              0 !sequencers
+              0 sequencers
           in
           let c0 = count () in
           Engine.sleep cl.Cluster.engine (deadline - warmup);
@@ -273,10 +268,20 @@ type proto_instance = {
   pi_count : unit -> int;  (** messages sequenced so far *)
 }
 
-let frames_per_msg_ref = ref 0.
-let interrupts_per_msg_ref = ref 0.
+(* A comparison protocol's group over [nodes], every member's
+   deliveries drained as [drain_events] does for Amoeba's. *)
+let baseline cl nodes ~events ~send ~delivered =
+  let arr = Array.of_list nodes in
+  Array.iter
+    (fun nd -> drain cl (fun () -> Channel.recv cl.Cluster.engine (events nd)))
+    arr;
+  {
+    pi_send = (fun i b -> send arr.(i) b);
+    pi_count = (fun () -> delivered arr.(0));
+  }
 
 let instantiate cl ~n proto =
+  let flips = Array.to_list (Array.sub cl.Cluster.flips 0 n) in
   match proto with
   | Amoeba_pb | Amoeba_bb ->
         let send_method = if proto = Amoeba_pb then T.Pb else T.Bb in
@@ -288,74 +293,23 @@ let instantiate cl ~n proto =
           pi_count = (fun () -> Kernel.next_expected (Api.kernel arr.(0)));
         }
   | Cm_token ->
-        let nodes =
-          Amoeba_baselines.Cm.make_group
-            (Array.to_list (Array.sub cl.Cluster.flips 0 n))
-        in
-        let arr = Array.of_list nodes in
-        Array.iter
-          (fun nd ->
-            Cluster.spawn cl (fun () ->
-                let rec loop () =
-                  ignore
-                    (Channel.recv cl.Cluster.engine
-                       (Amoeba_baselines.Cm.events nd));
-                  loop ()
-                in
-                loop ()))
-          arr;
-        {
-          pi_send = (fun i b -> Amoeba_baselines.Cm.send arr.(i) b);
-          pi_count = (fun () -> Amoeba_baselines.Cm.delivered arr.(0));
-        }
+      let module B = Amoeba_baselines.Cm in
+      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
+        ~delivered:B.delivered
   | Pos_ack ->
-        let nodes =
-          Amoeba_baselines.Posack.make_group
-            (Array.to_list (Array.sub cl.Cluster.flips 0 n))
-        in
-        let arr = Array.of_list nodes in
-        Array.iter
-          (fun nd ->
-            Cluster.spawn cl (fun () ->
-                let rec loop () =
-                  ignore
-                    (Channel.recv cl.Cluster.engine
-                       (Amoeba_baselines.Posack.events nd));
-                  loop ()
-                in
-                loop ()))
-          arr;
-        {
-          pi_send = (fun i b -> Amoeba_baselines.Posack.send arr.(i) b);
-          pi_count = (fun () -> Amoeba_baselines.Posack.delivered arr.(0));
-        }
+      let module B = Amoeba_baselines.Posack in
+      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
+        ~delivered:B.delivered
   | Migrating ->
-        let nodes =
-          Amoeba_baselines.Migrating.make_group
-            (Array.to_list (Array.sub cl.Cluster.flips 0 n))
-        in
-        let arr = Array.of_list nodes in
-        Array.iter
-          (fun nd ->
-            Cluster.spawn cl (fun () ->
-                let rec loop () =
-                  ignore
-                    (Channel.recv cl.Cluster.engine
-                       (Amoeba_baselines.Migrating.events nd));
-                  loop ()
-                in
-                loop ()))
-          arr;
-        {
-          pi_send = (fun i b -> Amoeba_baselines.Migrating.send arr.(i) b);
-          pi_count = (fun () -> Amoeba_baselines.Migrating.delivered arr.(0));
-        }
+      let module B = Amoeba_baselines.Migrating in
+      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
+        ~delivered:B.delivered
 
 let baseline_compare ?(duration_ms = 1_500) ~n proto =
   (* Delay: one sender (member 1), quiet network. *)
-  let delay =
+  let delay, fpm, ipm =
     let cl = Cluster.create ~n () in
-    let out = ref 0. in
+    let out = ref (0., 0., 0.) in
     Cluster.spawn cl (fun () ->
         let pi = instantiate cl ~n proto in
         for _ = 1 to 3 do
@@ -378,15 +332,11 @@ let baseline_compare ?(duration_ms = 1_500) ~n proto =
         let intr1 =
           Nic.interrupts (Machine.nic (Cluster.machine cl (n - 1)))
         in
-        out := Stats.mean stats;
-        (* stash counters in globals via closure *)
-        frames_per_msg_ref := float_of_int (frames1 - frames0) /. float_of_int k;
-        interrupts_per_msg_ref :=
-          float_of_int (intr1 - intr0) /. float_of_int k);
+        let per_msg a b = float_of_int (b - a) /. float_of_int k in
+        out := (Stats.mean stats, per_msg frames0 frames1, per_msg intr0 intr1));
     Cluster.run ~until:(Time.sec 120) cl;
     !out
   in
-  let fpm = !frames_per_msg_ref and ipm = !interrupts_per_msg_ref in
   (* Throughput: every member sends continuously. *)
   let tput =
     let cl = Cluster.create ~n () in
@@ -396,14 +346,7 @@ let baseline_compare ?(duration_ms = 1_500) ~n proto =
     Cluster.spawn cl (fun () ->
         let pi = instantiate cl ~n proto in
         for i = 0 to n - 1 do
-          Cluster.spawn cl (fun () ->
-              let rec loop () =
-                if Cluster.now cl < deadline then begin
-                  pi.pi_send i Bytes.empty;
-                  loop ()
-                end
-              in
-              loop ())
+          send_until cl ~deadline (fun () -> pi.pi_send i Bytes.empty)
         done;
         Cluster.spawn cl (fun () ->
             Engine.sleep cl.Cluster.engine warmup;
@@ -422,32 +365,8 @@ let burst_delay ?(bursts = 5) ?(burst_len = 8) ~n which =
   let out = ref 0. in
   Cluster.spawn cl (fun () ->
       let stats = Stats.create () in
-      let send =
-        match which with
-        | `Static ->
-            let groups = build_group cl ~n in
-            List.iter (drain_events cl) groups;
-            let sender = List.nth groups 1 in
-            fun b -> ignore (Api.send_to_group sender b)
-        | `Migrating ->
-            let nodes =
-              Amoeba_baselines.Migrating.make_group
-                (Array.to_list cl.Cluster.flips)
-            in
-            List.iter
-              (fun nd ->
-                Cluster.spawn cl (fun () ->
-                    let rec loop () =
-                      ignore
-                        (Channel.recv cl.Cluster.engine
-                           (Amoeba_baselines.Migrating.events nd));
-                      loop ()
-                    in
-                    loop ()))
-              nodes;
-            let sender = List.nth nodes 1 in
-            fun b -> Amoeba_baselines.Migrating.send sender b
-      in
+      let proto = match which with `Static -> Amoeba_pb | `Migrating -> Migrating in
+      let send = (instantiate cl ~n proto).pi_send 1 in
       send Bytes.empty;
       for _ = 1 to bursts do
         Engine.sleep cl.Cluster.engine (Time.ms 50);

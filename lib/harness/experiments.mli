@@ -5,6 +5,25 @@
 
 open Amoeba_core
 
+val build_group :
+  ?resilience:int ->
+  ?send_method:Types.send_method ->
+  ?history:int ->
+  ?base:int ->
+  Cluster.t ->
+  n:int ->
+  Api.group list
+(** Blocking.  Creates a group on machine [base] (default 0) and joins
+    machines [base+1 .. base+n-1]; the creator comes first. *)
+
+val send_until : Cluster.t -> deadline:Amoeba_sim.Time.t -> (unit -> unit) -> unit
+(** Spawns a closed-loop sender: a process that calls the function back
+    to back until [deadline]. *)
+
+val drain_events : Cluster.t -> Api.group -> unit
+(** Spawns a process that receives every delivery of the member, as
+    the paper's members all call ReceiveFromGroup. *)
+
 type delay_result = {
   mean_ms : float;
   min_ms : float;
@@ -45,13 +64,15 @@ val group_throughput :
   ?duration_ms:int ->
   ?resilience:int ->
   ?history:int ->
+  ?senders:int list ->
   n:int ->
   size:int ->
   send_method:Types.send_method ->
   unit ->
   throughput_result
-(** Figures 4, 5 and 8: every member of the group sends continuously;
-    reports how many messages per second the group sequences. *)
+(** Figures 4, 5 and 8: every member of the group (or the members
+    listed in [senders], by join order) sends continuously; reports how
+    many messages per second the group sequences. *)
 
 type multigroup_result = {
   total_msgs_per_sec : float;

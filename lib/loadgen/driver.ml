@@ -275,34 +275,31 @@ let drive cl ~map ~routers cfg load =
 let run cfg ~rate =
   if rate <= 0.0 then invalid_arg "Driver.run: rate <= 0";
   let fabric, conditions = cfg.net in
-  let map =
-    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
-      ~hosts:(List.init cfg.hosts Fun.id) ()
+  let tb =
+    Testbed.create
+      {
+        Testbed.default with
+        Testbed.shards = cfg.shards;
+        hosts = cfg.hosts;
+        routers = cfg.routers;
+        replication = cfg.replication;
+        fabric;
+        wire_mbps = cfg.wire_mbps;
+        pipeline_depth = cfg.pipeline_depth;
+        max_batch = cfg.max_batch;
+        batch_delay_us = cfg.batch_delay_us;
+        seed = cfg.seed;
+      }
   in
-  let cost = Cost_model.(with_mbps cfg.wire_mbps default) in
-  let cl =
-    Cluster.create ~cost ~seed:cfg.seed ~fabric ~n:(cfg.hosts + cfg.routers) ()
-  in
+  let cl = tb.Testbed.cluster in
   let acc = new_acc () in
   Cluster.spawn cl (fun () ->
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~pipeline:cfg.pipeline_depth ()
-      in
-      let routers =
-        List.init cfg.routers (fun i ->
-            Router.create
-              (Cluster.flip cl (cfg.hosts + i))
-              ~max_batch:cfg.max_batch
-              ~pipeline:(if cfg.max_batch > 1 then 1 else 4)
-              ~batch_delay:(Time.us cfg.batch_delay_us)
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
+      let live = Testbed.deploy tb in
       (* Impair the wire only once the service stands: the trial
          measures steady state under these conditions, not whether
          bring-up survives them (the chaos suites cover that). *)
       Medium.set_conditions cl.Cluster.net conditions;
-      drive_into acc cl ~map ~routers cfg (Open rate));
+      drive_into acc cl ~map:tb.map ~routers:live.routers cfg (Open rate));
   Cluster.run ~until:(cfg.warmup + cfg.duration + Time.sec 60) cl;
   trial_of acc cfg ~offered:rate ~hist:acc.hist
 

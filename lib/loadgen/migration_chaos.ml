@@ -5,7 +5,6 @@ module Medium = Amoeba_net.Medium
 module Machine = Amoeba_net.Machine
 module Cost_model = Amoeba_net.Cost_model
 module Rsm = Amoeba_grouplib.Rsm
-module Stable_store = Amoeba_grouplib.Stable_store
 
 (* The scenario: a 2-shard durable service on 7 hosts, a Zipf workload
    running throughout, and a live migration of shard 0 from its
@@ -56,16 +55,11 @@ let ok o = o.o_ok
 
 let hosts = 7
 let shards = 2
-let routers_n = 2
 let target = [ 4; 5 ]  (* fresh hosts: neither shard places replicas there *)
 
 (* Same moderately-hostile profile as the chaos swarms: bursty
    Gilbert–Elliott loss, duplication, reordering jitter, corruption. *)
 let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
-
-let fabric_to_string = function
-  | Medium.Shared -> "ether"
-  | Medium.Switched p -> Amoeba_net.Switch.profile_to_string p
 
 let rec flush_key map shard i =
   let k = Printf.sprintf "flush-%d" i in
@@ -74,7 +68,7 @@ let rec flush_key map shard i =
 let replay_line spec =
   Printf.sprintf "amoeba migration-chaos --seed %d --net %s+%s%s%s%s"
     spec.mc_seed
-    (fabric_to_string spec.mc_fabric)
+    (Medium.spec_to_string spec.mc_fabric)
     (if spec.mc_hostile then "adversarial" else "clean")
     (if spec.mc_crash_source then " --crash-source" else "")
     (if spec.mc_crash_dest then " --crash-dest" else "")
@@ -83,15 +77,24 @@ let replay_line spec =
 let run spec =
   let seed = spec.mc_seed in
   let duration = Time.ms spec.mc_duration_ms in
-  let host_list = List.init hosts Fun.id in
-  let map = Shard_map.create ~shards ~replication:2 ~hosts:host_list () in
-  let cost =
-    let base = Cost_model.(with_mbps 100 default) in
-    { base with Cost_model.disk = Cost_model.ssd }
+  let tb =
+    Testbed.create
+      {
+        Testbed.default with
+        Testbed.shards;
+        hosts;
+        routers = 2;
+        record = true;
+        fabric = spec.mc_fabric;
+        wire_mbps = 100;
+        disk = Some Cost_model.ssd;
+        fsync =
+          (if spec.mc_power_cycle then Rsm.Every_commit else Rsm.Group_fsync 8);
+        checkpoint_every = 32;
+        seed;
+      }
   in
-  let cl =
-    Cluster.create ~cost ~seed ~fabric:spec.mc_fabric ~n:(hosts + routers_n) ()
-  in
+  let cl = tb.Testbed.cluster and map = tb.Testbed.map in
   let eng = cl.Cluster.engine in
   (* Fault offsets past migration start, drawn up front so a spec's
      timing is identical whichever flags are set. *)
@@ -101,18 +104,10 @@ let run spec =
   let d_dst = off () in
   let d_pc = off () in
   let t_m = duration / 3 in
-  let dc =
-    {
-      Service.d_store = Stable_store.create ();
-      d_sync =
-        (if spec.mc_power_cycle then Rsm.Every_commit else Rsm.Group_fsync 8);
-      d_checkpoint_every = 32;
-    }
-  in
   let mig_result = ref None in
   let crashed = ref [] in
   let recovered = ref None in
-  let sent_acked = ref [] in
+  let live_r = ref None in
   let sent_lost = ref [] in
   let completed = ref 0 in
   let failed = ref 0 in
@@ -121,35 +116,18 @@ let run spec =
   Cluster.spawn cl (fun () ->
       if spec.mc_hostile then
         Medium.set_conditions cl.Cluster.net adversarial_net;
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~record:true ~durable:dc ()
-      in
-      let rs =
-        List.init routers_n (fun i ->
-            Router.create
-              (Cluster.flip cl (hosts + i))
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
-      (* Both the migration and the recovery fibers repoint the
-         routers; whichever runs later must win, so both aim at the
-         newest service. *)
-      let repoint () =
-        let s = match !recovered with Some s -> s | None -> svc in
-        List.iter (fun r -> Router.update_endpoints r (Service.endpoints s)) rs
-      in
+      let live = Testbed.deploy tb in
+      live_r := Some live;
+      let svc = live.Testbed.deployed and rs = live.Testbed.routers in
       (if spec.mc_power_cycle then
          (* sentinel writes before the migration: the acked ones are
             obligations the mid-migration power loss must not revoke *)
          Cluster.spawn cl (fun () ->
              Engine.sleep eng (duration / 4);
-             let r0 = List.hd rs in
-             for i = 0 to 5 do
-               let k = Printf.sprintf "sentinel-%d" i in
-               match Router.put r0 k (Printf.sprintf "s%d" i) with
-               | Router.Written -> sent_acked := k :: !sent_acked
-               | _ -> ()
-             done));
+             Testbed.write_sentinels live 6));
+      (* Both the migration and the recovery fibers repoint the
+         routers; whichever runs later must win, so both aim at the
+         service now serving. *)
       Cluster.spawn cl (fun () ->
           Engine.sleep eng t_m;
           let res =
@@ -157,7 +135,7 @@ let run spec =
               ~hosts:target ()
           in
           mig_result := Some res;
-          repoint ());
+          Testbed.repoint live);
       let crash_at d h =
         Cluster.spawn cl (fun () ->
             Engine.sleep eng (t_m + d);
@@ -172,13 +150,6 @@ let run spec =
       (if spec.mc_power_cycle then
          Cluster.spawn cl (fun () ->
              Engine.sleep eng (t_m + d_pc);
-             List.iter
-               (fun h ->
-                 let m = Cluster.machine cl h in
-                 if Machine.is_alive m then Machine.crash m)
-               host_list;
-             Engine.sleep eng (Time.ms 275);
-             List.iter (fun h -> Cluster.restart cl h) host_list;
              (* mid-migration recovery: the shard's durable state may
                 sit on the old replicas, the new ones, or both — read
                 the union and let the longest-log election decide *)
@@ -188,19 +159,8 @@ let run spec =
                  base @ List.filter (fun h -> not (List.mem h base)) target
                else base
              in
-             let svc' =
-               Service.recover cl ~map ~durable:dc ~resilience:1 ~record:true
-                 ~hosts_for:union_hosts ()
-             in
-             recovered := Some svc';
-             repoint ();
-             let r0 = List.hd rs in
-             List.iter
-               (fun k ->
-                 match Router.get r0 k with
-                 | Router.Value _ -> ()
-                 | _ -> sent_lost := k :: !sent_lost)
-               (List.rev !sent_acked)));
+             recovered := Some (Testbed.power_cycle ~hosts_for:union_hosts live);
+             sent_lost := Testbed.read_back live));
       let res =
         Driver.drive cl ~map ~routers:rs
           {
@@ -229,16 +189,12 @@ let run spec =
         ignore (Router.put (List.hd rs) (flush_key map shard 0) "flush")
       done;
       Engine.sleep eng (Time.sec 1);
-      let add label v =
+      let add (label, v) =
         verdicts := (label, v) :: !verdicts;
         if not v.Checker.ok then all_ok := false
       in
-      (match !recovered with
-      | None ->
-          List.iter
-            (fun (shard, vs) ->
-              List.iter (fun v -> add (Printf.sprintf "shard %d" shard) v) vs)
-            (Service.check svc ~crashed:!crashed)
+      match !recovered with
+      | None -> List.iter add (Testbed.verdicts svc ~crashed:!crashed)
       | Some svc' ->
           (* The power loss killed every pre-cut replica, so ownership
              belongs to the recovered service; the pre-cut streams
@@ -246,25 +202,22 @@ let run spec =
              across the cutover. *)
           for shard = 0 to shards - 1 do
             List.iter
-              (fun v -> add (Printf.sprintf "shard %d" shard) v)
+              (fun v -> add (Printf.sprintf "shard %d" shard, v))
               (Checker.run ~durability_applies:false
                  ~streams:
                    (Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
                  ~completed:(Service.completed svc ~shard)
                  ())
           done;
-          List.iter
-            (fun (shard, vs) ->
-              List.iter (fun v -> add (Printf.sprintf "shard %d'" shard) v) vs)
-            (Service.check svc' ~crashed:[]);
+          List.iter add (Testbed.verdicts ~tag:"'" svc' ~crashed:[]);
           for shard = 0 to shards - 1 do
             add
-              (Printf.sprintf "shard %d'" shard)
-              (Service.check_migration svc' ~shard ~crashed:[])
+              ( Printf.sprintf "shard %d'" shard,
+                Service.check_migration svc' ~shard ~crashed:[] )
           done;
           if !sent_lost <> [] then
             (* Every_commit: every acked sentinel must survive *)
-            all_ok := false));
+            all_ok := false);
   Cluster.run ~until:(duration + Time.sec 60) cl;
   {
     o_spec = spec;
@@ -273,7 +226,10 @@ let run spec =
     o_failed = !failed;
     o_crashed = List.rev !crashed;
     o_recovered = !recovered <> None;
-    o_sentinels_acked = List.length !sent_acked;
+    o_sentinels_acked =
+      (match !live_r with
+      | Some l -> List.length l.Testbed.sentinels
+      | None -> 0);
     o_sentinels_lost = List.length !sent_lost;
     o_verdicts = List.rev !verdicts;
     o_ok = !all_ok;

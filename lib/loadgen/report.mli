@@ -4,26 +4,23 @@
     --sweep]. *)
 
 type params = {
+  base : Driver.config;
+      (** every trial's config; the sweep sets [shards], [hosts],
+          [routers] and [net] per row *)
   slo : Saturation.slo;
-  mix : Mix.t;
-  keys : int;
-  value_dist : Dist.t;
-  txn_size : int;
-  duration_ms : int;
-  warmup_ms : int;
-  replication : int;
-  wire_mbps : int;
-  max_batch : int;
-  pipeline_depth : int;
   lo : float;  (** floor rate the search starts from *)
   tol : float;
   max_probes : int;
-  seed : int;
 }
 
 val default_params : smoke:bool -> params
-(** Full: YCSB-A + 5 % 3-key transactions, p99 ≤ 50 ms at ≥ 95 %
-    completion, 2 s windows.  Smoke: tiny windows and probe budget. *)
+(** Full: YCSB-A + 5 % 3-key transactions over {!Driver.default}, p99
+    ≤ 50 ms at ≥ 95 % completion, 2 s windows.  Smoke: tiny windows,
+    key space and probe budget. *)
+
+val knee : params -> Saturation.outcome
+(** The saturation search over [base]: open-loop {!Driver.run} trials
+    until the highest rate meeting the SLO is bracketed. *)
 
 type row = {
   shards : int;
@@ -33,17 +30,12 @@ type row = {
   outcome : Saturation.outcome;
 }
 
-val sweep_configs : smoke:bool -> (int * int * int * string) list
-(** [(shards, hosts, routers, net)] per configuration.  Full: shard
-    counts 1/2/4/8 on both the shared Ether and the switch, plus
-    bursty-loss rows on each fabric — 10 configurations.  Smoke: two
-    tiny ones, one with the adversarial profile. *)
-
-val run_row :
-  params -> shards:int -> hosts:int -> routers:int -> net:string -> row
-(** One saturation search; raises [Failure] on an unparseable [net]. *)
-
 val sweep : ?progress:(row -> unit) -> smoke:bool -> params -> row list
+(** One {!knee} search per configuration, [progress] called on each
+    row as it lands; raises [Failure] on an unparseable [net].  Full:
+    shard counts 1/2/4/8 on both the shared Ether and the switch, plus
+    dup, reorder and bursty-loss rows — 11 configurations.  Smoke: two
+    tiny ones, one with the adversarial profile. *)
 
 val print_header : unit -> unit
 

@@ -329,9 +329,12 @@ let worker t flip ss () =
   in
   loop ()
 
-let create flip ?(pipeline = 4) ?(max_batch = 1) ?(batch_delay = Time.us 500)
+let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
     ?(timeout = Time.ms 250) ?(attempts = 12) ?(stale_reads = false) ~map
     ~endpoints () =
+  let pipeline =
+    Option.value pipeline ~default:(if max_batch > 1 then 1 else 4)
+  in
   let machine = Flip.machine flip in
   let engine = Machine.engine machine in
   let t =

@@ -33,12 +33,14 @@ val create :
   endpoints:Service.endpoint array array ->
   unit ->
   t
-(** [pipeline] (default 4) is the number of concurrent workers per
-    shard; [timeout] (default 250 ms) bounds each RPC attempt;
-    [attempts] (default 12) bounds retries/failovers per request; a
-    dead-host verdict suspects every endpoint on that machine at
-    once, so one failover spends one attempt however many endpoints
-    the victim served.
+(** [pipeline] is the number of concurrent workers per shard: by
+    default 4, or 1 when [max_batch] > 1 (one accumulate-and-ship
+    worker per shard forms the largest batches and keeps replica
+    endpoints uncontended); [timeout] (default 250 ms) bounds each RPC
+    attempt; [attempts] (default 12) bounds retries/failovers per
+    request; a dead-host verdict suspects every endpoint on that
+    machine at once, so one failover spends one attempt however many
+    endpoints the victim served.
 
     [stale_reads] (default false) makes every {!get} a bounded-
     staleness read ([Kv.Stale_get]): the replica answers from its last

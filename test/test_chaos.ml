@@ -65,10 +65,6 @@ let fabrics =
     Medium.Switched { Switch.segments = 2; segment_size = 3; uplink_mult = 2 };
   ]
 
-let fabric_to_string = function
-  | Medium.Shared -> "ether"
-  | Medium.Switched p -> Switch.profile_to_string p
-
 let swarm_case =
   let gen =
     QCheck.Gen.(
@@ -85,9 +81,9 @@ let swarm_case =
        %d -r %d --method %s --net %s --schedule %S)"
       n r
       (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric) seed seed n r
+      (Medium.spec_to_string fabric) seed seed n r
       (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric)
+      (Medium.spec_to_string fabric)
       (Fault.to_string sched)
   in
   (* Shrink only the schedule: QCheck peels steps off until the
@@ -329,11 +325,11 @@ let power_swarm_case =
       n r
       (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
       seed
-      (fabric_to_string fabric)
+      (Medium.spec_to_string fabric)
       (if hostile then "adversarial" else "clean")
       seed n r
       (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric)
+      (Medium.spec_to_string fabric)
       (if hostile then "+adversarial" else "")
       (Fault.to_string sched)
   in
@@ -376,7 +372,7 @@ let test_ghost_sequencer_after_missed_reset () =
           ~seed:90615 ()
       in
       Alcotest.(check bool)
-        (Printf.sprintf "invariants hold on %s" (fabric_to_string fabric))
+        (Printf.sprintf "invariants hold on %s" (Medium.spec_to_string fabric))
         true (Chaos.ok o);
       Alcotest.(check bool) "the group reset around the pause" true
         (o.Chaos.resets > 0))

@@ -18,10 +18,6 @@ let digest v =
 
 let two_segments = { Switch.segments = 2; segment_size = 3; uplink_mult = 2 }
 
-let fabric_name = function
-  | Medium.Shared -> "ether"
-  | Medium.Switched p -> Switch.profile_to_string p
-
 let profile name = List.assoc name Medium.condition_profiles
 
 (* Random schedules on each fabric.  Seeds 35 and 50 draw two bursts of
@@ -31,7 +27,9 @@ let random_runs =
     (fun fabric ->
       List.map
         (fun seed ->
-          ( Printf.sprintf "random %s seed %d" (fabric_name fabric) seed,
+          ( Printf.sprintf "random %s seed %d"
+              (Medium.spec_to_string fabric)
+              seed,
             fun () ->
               digest
                 (Chaos.run ~n:4 ~resilience:1 ~fabric
@@ -46,7 +44,9 @@ let net_runs =
     (fun fabric ->
       List.map
         (fun (name, seed) ->
-          ( Printf.sprintf "%s+%s seed %d" (fabric_name fabric) name seed,
+          ( Printf.sprintf "%s+%s seed %d"
+              (Medium.spec_to_string fabric)
+              name seed,
             fun () ->
               digest
                 (Chaos.run ~n:4 ~fabric ~net:(profile name)
@@ -124,9 +124,89 @@ let migration_chaos_run =
   ( "migration chaos seed 1",
     fun () -> digest (Migration_chaos.run (Migration_chaos.default ~seed:1)) )
 
+(* The service-level power cycle, as `amoeba workload --shards 2
+   --hosts 4 --routers 2 --replication 2 --workers 8 --duration 2000
+   --seed 11 --disk ssd --fsync commit --checkpoint-every 16
+   --power-cycle` runs it: sentinels a quarter of the way in, every
+   server host down at the halfway mark, recovery from the disks, the
+   routers repointed and the sentinels read back. *)
+let service_power_cycle_run =
+  ( "service power cycle ether 2 shards ssd",
+    fun () ->
+      let open Amoeba_service in
+      let tb =
+        Testbed.create
+          {
+            Testbed.default with
+            Testbed.shards = 2;
+            hosts = 4;
+            routers = 2;
+            resilience = 0;
+            disk = Some Cost_model.ssd;
+            fsync = Amoeba_grouplib.Rsm.Every_commit;
+            checkpoint_every = 16;
+            pipeline_depth = 4;
+            max_batch = 32;
+            seed = 11;
+          }
+      in
+      let cl = tb.Testbed.cluster in
+      let eng = cl.Cluster.engine in
+      let duration = Time.ms 2000 in
+      let result = ref None and cycle = ref None in
+      Cluster.spawn cl (fun () ->
+          let live = Testbed.deploy tb in
+          Cluster.spawn cl (fun () ->
+              Engine.sleep eng (duration / 4);
+              Testbed.write_sentinels live 10;
+              let now = Engine.now eng in
+              if duration / 2 > now then
+                Engine.sleep eng ((duration / 2) - now);
+              let svc' = Testbed.power_cycle live in
+              let lost = Testbed.read_back live in
+              cycle :=
+                Some (live.Testbed.sentinels, lost, Service.recovery_report svc'));
+          (* The CLI's per-shard snapshot at the end of the (zero) ramp,
+             kept so the run schedules the same events. *)
+          let at_warmup = ref [||] in
+          Cluster.spawn cl (fun () ->
+              Engine.sleep eng 0;
+              at_warmup := Service.shard_ops live.Testbed.serving);
+          let trial =
+            Driver.drive cl ~map:tb.Testbed.map ~routers:live.Testbed.routers
+              {
+                Driver.default with
+                Driver.mix = Mix.read_update ~read:0.0 Keygen.Uniform;
+                keys = 1000;
+                duration;
+                warmup = 0;
+                seed = 11;
+              }
+              (Driver.Closed 8)
+          in
+          result :=
+            Some
+              ( trial,
+                !at_warmup,
+                Service.shard_ops live.Testbed.deployed,
+                Service.shard_ops live.Testbed.serving,
+                List.map Router.stats live.Testbed.routers ));
+      Cluster.run ~until:(duration + Time.sec 60) cl;
+      digest
+        ( !result,
+          !cycle,
+          Amoeba_grouplib.Stable_store.counters
+            (Option.get tb.Testbed.durable).Service.d_store ) )
+
 let runs =
   random_runs @ net_runs
-  @ [ power_cycle_run; loadgen_run; closed_loop_run; migration_chaos_run ]
+  @ [
+      power_cycle_run;
+      loadgen_run;
+      closed_loop_run;
+      migration_chaos_run;
+      service_power_cycle_run;
+    ]
 
 (* Digests pinned from the runs above; a run missing here fails as
    unpinned. *)
@@ -157,6 +237,7 @@ let pinned =
     ("loadgen trial switch+reorder", "a06146fafe921c4fbe67e1db5ed56f75");
     ("closed loop ether 2 shards", "e33a546351046562fd9eb715fc476533");
     ("migration chaos seed 1", "aa7d2fc0aea506ac60b8c9f495bd5b24");
+    ("service power cycle ether 2 shards ssd", "47a6a54a12c4dc0f9c8a9e3650da98bb");
   ]
 
 let test_run (name, run) expected () =
