@@ -65,40 +65,17 @@ module Make (App : APP) = struct
     mutable st : App.state;
     mutable n_applied : int;
     mutable mode : mode;
-    checkpoint : (Stable_store.t * int) option;
     durable : durability option;
     mutable ckpt_inflight : bool;
         (** one background durable checkpoint at a time *)
     mutable durable_snap : (App.state * int) option;
-        (** last durably checkpointed (state, count): what a
+        (** last (state, count) a checkpoint made durable: what a
             bounded-staleness read may be served from *)
     snapshots : (int * bytes) Channel.t;  (** applied count, state *)
     snap_addr : Addr.t;
     tap : (T.event -> unit) option;
         (** observer of the raw delivery stream (chaos checkers) *)
   }
-
-  let ckpt_key g = Printf.sprintf "rsm:%d" (Addr.to_int (Api.group_address g))
-
-  let write_checkpoint t =
-    match t.checkpoint with
-    | Some (store, every) when t.n_applied mod every = 0 && t.n_applied > 0 ->
-        let payload =
-          Bytes.cat
-            (Bytes.of_string (Printf.sprintf "%d " t.n_applied))
-            (App.encode_state t.st)
-        in
-        let key = ckpt_key t.g in
-        (* The write happens "in the background" (a disk DMA), so the
-           replica keeps applying while it runs.  It belongs to the
-           machine's lifecycle group: a write races a crash, it must
-           not land after the machine is dead. *)
-        Engine.spawn ~group:(Machine.group t.machine) t.engine (fun () ->
-            if not (Stable_store.write store t.machine ~key payload) then begin
-              let sc = Api.storage_counters t.g in
-              sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
-            end)
-    | Some _ | None -> ()
 
   (* WAL one applied update, synchronously in the applier: a
      fsync-per-commit replica really does stall on its disk — that is
@@ -107,21 +84,15 @@ module Make (App : APP) = struct
     match t.durable with
     | None -> ()
     | Some d ->
-        let sc = Api.storage_counters t.g in
         let sync =
           match d.sync with
           | Every_commit -> true
           | Group_fsync k -> k <= 1 || t.n_applied mod k = 0
           | Checkpoint_only -> false
         in
-        if
-          Stable_store.wal_append d.store t.machine ~log:(wal_name d) ~sync
-            ~index:t.n_applied (App.encode_update u)
-        then begin
-          sc.Api.wal_appends <- sc.Api.wal_appends + 1;
-          if sync then sc.Api.wal_fsyncs <- sc.Api.wal_fsyncs + 1
-        end
-        else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+        ignore
+          (Stable_store.wal_append d.store t.machine ~log:(wal_name d) ~sync
+             ~index:t.n_applied (App.encode_update u))
 
   let ckpt_payload st count =
     let enc = App.encode_state st in
@@ -146,18 +117,13 @@ module Make (App : APP) = struct
         let st = t.st and count = t.n_applied in
         let payload = ckpt_payload st count in
         Engine.spawn ~group:(Machine.group t.machine) t.engine (fun () ->
-            let sc = Api.storage_counters t.g in
             if Stable_store.write d.store t.machine ~key:(ckpt_name d) payload
             then begin
-              sc.Api.checkpoints_written <- sc.Api.checkpoints_written + 1;
               t.durable_snap <- Some (st, count);
-              if
-                not
-                  (Stable_store.wal_trim d.store t.machine ~log:(wal_name d)
-                     ~upto:count)
-              then sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
-            end
-            else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1;
+              ignore
+                (Stable_store.wal_trim d.store t.machine ~log:(wal_name d)
+                   ~upto:count)
+            end;
             t.ckpt_inflight <- false)
     | Some _ | None -> ()
 
@@ -167,7 +133,6 @@ module Make (App : APP) = struct
         t.st <- App.apply t.st u;
         t.n_applied <- t.n_applied + 1;
         log_update t u;
-        write_checkpoint t;
         maybe_checkpoint t
     | Syncing s -> s.buffer <- (seq, u) :: s.buffer
 
@@ -276,7 +241,7 @@ module Make (App : APP) = struct
     in
     loop ()
 
-  let make flip g ~checkpoint ~durable ~seed ~tap =
+  let make flip g ~durable ~seed ~tap =
     let machine = Flip.machine flip in
     let st, n_applied = Option.value seed ~default:(App.initial, 0) in
     let t =
@@ -288,7 +253,6 @@ module Make (App : APP) = struct
         st;
         n_applied;
         mode = Normal;
-        checkpoint;
         durable;
         ckpt_inflight = false;
         (* A recovered seed came off the disk, so it is durable by
@@ -315,11 +279,11 @@ module Make (App : APP) = struct
     t
 
   let create flip ?(resilience = 0) ?(send_method = T.Pb) ?(auto_heal = false)
-      ?(pipeline = 1) ?checkpoint ?durable ?seed ?tap () =
+      ?(pipeline = 1) ?durable ?seed ?tap () =
     let g =
       Api.create_group flip ~resilience ~send_method ~auto_heal ~pipeline ()
     in
-    let t = make flip g ~checkpoint ~durable ~seed ~tap in
+    let t = make flip g ~durable ~seed ~tap in
     (match (durable, seed) with
     | Some d, None ->
         (* A fresh durable group must not inherit records a previous
@@ -444,25 +408,20 @@ module Make (App : APP) = struct
         let machine_name = Machine.name t.machine in
         Stable_store.wal_reset d.store ~machine_name ~log:(wal_name d);
         Stable_store.remove d.store ~machine_name ~key:(ckpt_name d);
-        let sc = Api.storage_counters t.g in
         let st = t.st and count = t.n_applied in
         if
           Stable_store.write d.store t.machine ~key:(ckpt_name d)
             (ckpt_payload st count)
-        then begin
-          sc.Api.checkpoints_written <- sc.Api.checkpoints_written + 1;
-          t.durable_snap <- Some (st, count)
-        end
-        else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+        then t.durable_snap <- Some (st, count)
 
   let join flip ?(resilience = 0) ?(send_method = T.Pb) ?(auto_heal = false)
-      ?(pipeline = 1) ?checkpoint ?durable ?tap addr =
+      ?(pipeline = 1) ?durable ?tap addr =
     match
       Api.join_group flip ~resilience ~send_method ~auto_heal ~pipeline addr
     with
     | Error e -> Error e
     | Ok g -> (
-        let t = make flip g ~checkpoint ~durable ~seed:None ~tap in
+        let t = make flip g ~durable ~seed:None ~tap in
         (* Alone in the group?  Then there is nothing to transfer. *)
         let info = Api.get_info_group g in
         if List.length info.Api.members <= 1 then begin
@@ -571,26 +530,4 @@ module Make (App : APP) = struct
                   + if ckpt_damaged then 1 else 0);
               };
           }
-
-  (* Scans this machine's rsm:* checkpoints and returns the most
-     advanced one. *)
-  let checkpointed store ~machine_name =
-    let best = ref None in
-    List.iter
-      (fun key ->
-        if String.length key > 4 && String.sub key 0 4 = "rsm:" then
-          match Stable_store.read store ~machine_name ~key with
-          | None -> ()
-          | Some payload -> (
-              match parse_counted payload with
-              | Some (count, state_bytes) -> (
-                  match App.decode_state state_bytes with
-                  | Some st -> (
-                      match !best with
-                      | Some (_, c) when c >= count -> ()
-                      | _ -> best := Some (st, count))
-                  | None -> ())
-              | None -> ()))
-      (Stable_store.keys store ~machine_name);
-    !best
 end

@@ -7,7 +7,11 @@
     - {b consistent checkpointing} (reference [15]): because updates
       are totally ordered, a snapshot taken every k-th update is a
       consistent cut; written to stable storage it survives even a
-      whole-group failure.
+      whole-group failure.  This is the [?durable] mode
+      ({!durability}): the checkpoint every [checkpoint_every]
+      updates, with a WAL between checkpoints whose fsync policy
+      ({!Checkpoint_only} for the checkpoints alone) bounds what a
+      power loss takes.
 
     This is the state-machine approach the paper cites (Schneider
     [28]): keep replicas identical by feeding every replica the same
@@ -36,8 +40,8 @@ type durability = {
           disables checkpointing — pure WAL *)
 }
 (** Durable-replica configuration: every applied update is logged to a
-    per-record-checksummed WAL, state is checkpointed on the given
-    policy, and {!Make.recover} rebuilds the replica from
+    per-record-checksummed WAL, a checkpoint of the state is taken
+    on the given policy, and {!Make.recover} rebuilds the replica from
     checkpoint + WAL replay after a crash — including a whole-cluster
     power loss.  What survives is bounded by the {e durable frontier}:
     the fsync policy decides how many acknowledged-but-unsynced
@@ -90,15 +94,12 @@ module Make (App : APP) : sig
     ?send_method:Types.send_method ->
     ?auto_heal:bool ->
     ?pipeline:int ->
-    ?checkpoint:Stable_store.t * int ->
     ?durable:durability ->
     ?seed:App.state * int ->
     ?tap:(Types.event -> unit) ->
     unit ->
     t
   (** Creates the group with this machine as first replica.
-      [?checkpoint:(store, k)] writes a consistent snapshot to stable
-      storage every [k] applied updates (the legacy, non-WAL scheme).
       [?durable] makes the replica fully durable: committed updates
       are WAL-logged per the fsync policy, checkpoints trim the log,
       and {!recover} can rebuild the replica after any crash.  Without
@@ -118,7 +119,6 @@ module Make (App : APP) : sig
     ?send_method:Types.send_method ->
     ?auto_heal:bool ->
     ?pipeline:int ->
-    ?checkpoint:Stable_store.t * int ->
     ?durable:durability ->
     ?tap:(Types.event -> unit) ->
     Addr.t ->
@@ -173,18 +173,11 @@ module Make (App : APP) : sig
 
   val reset : t -> min_members:int -> (int, Types.error) result
 
-  val checkpointed : Stable_store.t -> machine_name:string ->
-    (App.state * int) option
-  (** Reads this machine's last consistent checkpoint back from
-      stable storage (usable after a crash, or even after the whole
-      group failed — pass it to [create ~seed]).  The legacy scheme;
-      durable replicas use {!recover}. *)
-
   val durable_snapshot : t -> (App.state * int) option
-  (** The last durably checkpointed (state, applied count) of this
-      replica — the durable frontier a bounded-staleness read may be
+  (** The (state, applied count) of this replica's last checkpoint
+      on disk — the durable frontier a bounded-staleness read may be
       served from without touching the ordered stream.  [None] when
-      the replica is not durable or has not checkpointed yet. *)
+      the replica is not durable or has written no checkpoint yet. *)
 
   type recovered = {
     r_state : App.state;

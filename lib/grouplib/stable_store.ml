@@ -162,12 +162,6 @@ let write t machine ~key value =
 let read t ~machine_name ~key =
   Option.map Bytes.copy (Hashtbl.find_opt t.kv (machine_name, key))
 
-let keys t ~machine_name =
-  Hashtbl.fold
-    (fun (m, k) _ acc -> if m = machine_name then k :: acc else acc)
-    t.kv []
-  |> List.sort_uniq compare
-
 let remove t ~machine_name ~key = Hashtbl.remove t.kv (machine_name, key)
 
 (* Record framing: "<index> <len> <crc> " in decimal text, then [len]

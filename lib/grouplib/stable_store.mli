@@ -70,8 +70,6 @@ val write : t -> Machine.t -> key:string -> bytes -> bool
 val read : t -> machine_name:string -> key:string -> bytes option
 (** Reads survive the owner's crash (the disk is intact). *)
 
-val keys : t -> machine_name:string -> string list
-
 val remove : t -> machine_name:string -> key:string -> unit
 (** Instant metadata op (unlink), used when re-initialising a replica's
     durable state. *)
@@ -90,8 +88,8 @@ val wal_sync : t -> Machine.t -> log:string -> bool
 val wal_trim : t -> Machine.t -> log:string -> upto:int -> bool
 (** Drops records with [index <= upto] by rewriting the log head (a
     real, costed rewrite — this is why checkpoint-then-trim has a
-    crash window, which recovery closes by skipping already
-    checkpointed indices).  The rewrite syncs. *)
+    crash window, which recovery closes by skipping the
+    indices a checkpoint already covers).  The rewrite syncs. *)
 
 val wal_reset : t -> machine_name:string -> log:string -> unit
 (** Instant metadata truncate-to-empty, for (re)initialising a log. *)

@@ -178,18 +178,11 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
              recovery invariant asks. *)
           (match (e, store) with
           | Message { seq; sender; body }, Some st ->
-              let sc = Api.storage_counters g in
-              if
-                Store.wal_append st (Cluster.machine c i)
-                  ~log:("chaos:" ^ lbl) ~sync:true ~index:seq
-                  (Bytes.of_string
-                     (Printf.sprintf "%d %s" sender (Bytes.to_string body)))
-              then begin
-                sc.Api.wal_appends <- sc.Api.wal_appends + 1;
-                sc.Api.wal_fsyncs <- sc.Api.wal_fsyncs + 1
-              end
-              else
-                sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+              ignore
+                (Store.wal_append st (Cluster.machine c i)
+                   ~log:("chaos:" ^ lbl) ~sync:true ~index:seq
+                   (Bytes.of_string
+                      (Printf.sprintf "%d %s" sender (Bytes.to_string body))))
           | _ -> ());
           match e with Expelled -> () | _ -> collect ()
         in
@@ -461,9 +454,9 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
                  })
                vs))
   in
-  let sum f =
-    List.fold_left (fun acc g -> acc + f (Api.get_info_group g)) 0 !handles
-  in
+  let stats = List.map (fun g -> Kernel.stats (Api.kernel g)) !handles in
+  let sum f = List.fold_left (fun acc st -> acc + f st) 0 stats in
+  let batches = sum (fun st -> st.Kernel.batches_sent) in
   let lf = Medium.faults c.Cluster.net in
   {
     seed;
@@ -473,10 +466,10 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     sends_started = !started;
     sends_completed = !n_ok;
     sends_aborted = !n_err;
-    nacks = sum (fun i -> i.Api.nacks_sent);
-    retransmissions = sum (fun i -> i.Api.retransmissions);
-    solicitations = sum (fun i -> i.Api.status_solicitations);
-    resets = sum (fun i -> i.Api.resets_survived);
+    nacks = sum (fun st -> st.Kernel.nacks_sent);
+    retransmissions = sum (fun st -> st.Kernel.retransmissions);
+    solicitations = sum (fun st -> st.Kernel.status_solicitations);
+    resets = sum (fun st -> st.Kernel.resets_survived);
     frames_lost = Link_faults.frames_lost lf;
     partition_drops = Link_faults.partition_drops lf;
     queue_drops = Medium.queue_drops c.Cluster.net;
@@ -488,9 +481,9 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
       Array.fold_left
         (fun acc m -> acc + Machine.restarts m)
         0 c.Cluster.machines;
-    duplicates_dropped = sum (fun i -> i.Api.duplicates_dropped);
-    corrupt_dropped = sum (fun i -> i.Api.corrupt_dropped);
-    reorders_absorbed = sum (fun i -> i.Api.reorders_absorbed);
+    duplicates_dropped = sum (fun st -> st.Kernel.duplicates_dropped);
+    corrupt_dropped = sum (fun st -> st.Kernel.corrupt_dropped);
+    reorders_absorbed = sum (fun st -> st.Kernel.reorders_absorbed);
     flip_checksum_drops =
       (let acc = ref 0 in
        for i = 0 to n - 1 do
@@ -501,22 +494,16 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     cond_losses = Link_faults.cond_losses lf;
     dups_injected = Link_faults.duplicates_injected lf;
     corruptions_injected = Link_faults.corruptions_injected lf;
-    batches_sent = sum (fun i -> i.Api.batches_sent);
+    batches_sent = batches;
     ops_per_batch_avg =
-      (* batched-op totals reconstructed from each member's average *)
-      (let b = ref 0 and ops = ref 0. in
-       List.iter
-         (fun g ->
-           let i = Api.get_info_group g in
-           b := !b + i.Api.batches_sent;
-           ops :=
-             !ops +. (float_of_int i.Api.batches_sent *. i.Api.ops_per_batch_avg))
-         !handles;
-       if !b = 0 then 1. else !ops /. float_of_int !b);
+      (if batches = 0 then 1.
+       else
+         float_of_int (sum (fun st -> st.Kernel.batched_ops))
+         /. float_of_int batches);
     pipeline_depth_hwm =
       List.fold_left
-        (fun acc g -> max acc (Api.get_info_group g).Api.pipeline_depth_hwm)
-        0 !handles;
+        (fun acc st -> max acc st.Kernel.pipeline_depth_hwm)
+        0 stats;
     durable = store <> None;
     power_cycles = !fired_cycles;
     wal_appends =

@@ -105,7 +105,7 @@ let repoint l =
     l.routers
 
 let power_cycle ?hosts_for l =
-  let { config = c; cluster = cl; map; durable } = l.bed in
+  let { config = c; cluster = cl; durable; _ } = l.bed in
   let durable =
     match durable with
     | Some d -> d
@@ -116,8 +116,9 @@ let power_cycle ?hosts_for l =
   Engine.sleep cl.Cluster.engine (Time.ms 275);
   List.iter (Cluster.restart cl) hosts;
   let svc =
-    Service.recover cl ~map ~durable ~resilience:c.resilience
-      ~pipeline:c.pipeline_depth ~record:c.record ?hosts_for ()
+    Service.recover cl ~map:(Service.map l.serving) ~durable
+      ~resilience:c.resilience ~pipeline:c.pipeline_depth ~record:c.record
+      ?hosts_for ()
   in
   l.serving <- svc;
   repoint l;

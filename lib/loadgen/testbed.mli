@@ -19,7 +19,7 @@ type config = {
   wire_mbps : int;
   disk : Amoeba_net.Cost_model.disk option;
       (** a disk on every machine and durable replicas, synced per
-          [fsync] and checkpointed every [checkpoint_every] updates *)
+          [fsync], with a checkpoint every [checkpoint_every] updates *)
   fsync : Amoeba_grouplib.Rsm.sync_policy;
   checkpoint_every : int;
   pipeline_depth : int;  (** {!Service.deploy}'s [pipeline] *)
@@ -64,9 +64,10 @@ val repoint : live -> unit
 
 val power_cycle : ?hosts_for:(int -> int list) -> live -> Service.t
 (** Crashes every server host, waits 275 ms, restarts them,
-    {!Service.recover}s the service (deploy's resilience, pipeline and
-    recording; [hosts_for] as there), makes it [serving] and repoints.
-    Blocking; needs a disk. *)
+    {!Service.recover}s the service on [serving]'s shard map, so a
+    shard that migrated comes back from its current hosts (deploy's
+    resilience, pipeline and recording; [hosts_for] as there), makes
+    it [serving] and repoints.  Blocking; needs a disk. *)
 
 val write_sentinels : live -> int -> unit
 (** Puts [sentinel-<i>] = [s<i>] for [i < n] through the first router,

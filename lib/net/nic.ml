@@ -19,7 +19,6 @@ type t = {
   mutable handler : (Frame.t -> unit) option;
   mutable n_rx_dropped : int;
   mutable n_rx : int;
-  mutable n_tx : int;
   mutable n_interrupts : int;
 }
 
@@ -86,7 +85,6 @@ let create engine cost trace net ~group ~station ~host ~cpu ~alive =
       handler = None;
       n_rx_dropped = 0;
       n_rx = 0;
-      n_tx = 0;
       n_interrupts = 0;
     }
   in
@@ -118,11 +116,9 @@ let send t frame =
     Trace.record t.trace t.engine ~layer:"ether" ~host:"wire"
       (Engine.now t.engine - wire_start);
     Resource.release t.tx_lock;
-    if outcome = `Sent then t.n_tx <- t.n_tx + 1;
     outcome
   end
 
 let rx_dropped t = t.n_rx_dropped
 let rx_frames t = t.n_rx
-let tx_frames t = t.n_tx
 let interrupts t = t.n_interrupts

@@ -49,7 +49,5 @@ val rx_dropped : t -> int
 
 val rx_frames : t -> int
 
-val tx_frames : t -> int
-
 val interrupts : t -> int
 (** Interrupts taken (one per received frame copied out). *)

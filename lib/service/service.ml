@@ -57,7 +57,6 @@ type params = {
   p_resilience : int;
   p_send_method : T.send_method;
   p_pipeline : int;
-  p_checkpoint : (Stable_store.t * int) option;
   p_durable : durable_config option;
   p_record : bool;
   p_eps : int;
@@ -166,15 +165,12 @@ let handle_one t r req =
         (* Bounded-staleness read: answered from the last durable
            checkpoint when there is one — the state a power loss could
            never take away — without touching the ordered stream.  A
-           replica that has not checkpointed yet falls back to its
-           live copy. *)
+           replica with no checkpoint yet falls back to its live
+           copy. *)
         t.n_reads <- t.n_reads + 1;
         let state =
           match R.durable_snapshot r.r_rsm with
-          | Some (st, _) ->
-              let sc = Api.storage_counters (R.group r.r_rsm) in
-              sc.Api.stale_reads <- sc.Api.stale_reads + 1;
-              st
+          | Some (st, _) -> st
           | None -> R.state r.r_rsm
         in
         (match Kv.Smap.find_opt k state with
@@ -303,12 +299,11 @@ let start_replica t ~shard ~host ~creator ~seed =
             Ok
               (R.create flip ~resilience:p.p_resilience
                  ~send_method:p.p_send_method ~auto_heal:true
-                 ~pipeline:p.p_pipeline ?checkpoint:p.p_checkpoint
-                 ?durable:durable_arg ?seed ?tap ())
+                 ~pipeline:p.p_pipeline ?durable:durable_arg ?seed ?tap ())
         | Some addr ->
             R.join flip ~resilience:p.p_resilience ~send_method:p.p_send_method
-              ~auto_heal:true ~pipeline:p.p_pipeline ?checkpoint:p.p_checkpoint
-              ?durable:durable_arg ?tap addr
+              ~auto_heal:true ~pipeline:p.p_pipeline ?durable:durable_arg ?tap
+              addr
       in
       match rsm with
       | Error e -> ignore (Ivar.try_fill iv (Error (T.error_to_string e)))
@@ -347,7 +342,7 @@ let start_replica t ~shard ~host ~creator ~seed =
    the creator's replica (the recovery path).  [deploy] and [recover]
    are thin wrappers. *)
 let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
-    ?checkpoint ?durable ?(record = false) ?(eps_per_replica = 4) ~hosts_for
+    ?durable ?(record = false) ?(eps_per_replica = 4) ~hosts_for
     ~seed_for () =
   let eng = cl.Cluster.engine in
   let shards = Shard_map.shards map in
@@ -359,7 +354,6 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
           p_resilience = resilience;
           p_send_method = send_method;
           p_pipeline = pipeline;
-          p_checkpoint = checkpoint;
           p_durable = durable;
           p_record = record;
           p_eps = eps_per_replica;
@@ -409,10 +403,10 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
             Array.of_list (eps0 @ rest));
   t
 
-let deploy cl ~map ?resilience ?send_method ?pipeline ?checkpoint ?durable
-    ?record ?eps_per_replica () =
-  build cl ~map ?resilience ?send_method ?pipeline ?checkpoint ?durable
-    ?record ?eps_per_replica
+let deploy cl ~map ?resilience ?send_method ?pipeline ?durable ?record
+    ?eps_per_replica () =
+  build cl ~map ?resilience ?send_method ?pipeline ?durable ?record
+    ?eps_per_replica
     ~hosts_for:(fun shard -> Shard_map.replica_hosts map shard)
     ~seed_for:(fun _ -> None)
     ()
@@ -508,31 +502,6 @@ let recover cl ~map ~durable ?resilience ?send_method ?pipeline ?record
       ()
   in
   t.recovery <- reports;
-  (* Surface what recovery found through each replica's own group-info
-     counters, so GetInfoGroup tells the whole durability story. *)
-  List.iter
-    (fun sr ->
-      List.iter
-        (fun hr ->
-          match hr.hr_stats with
-          | None -> ()
-          | Some st -> (
-              match
-                List.find_opt
-                  (fun r -> r.r_host = hr.hr_host)
-                  t.replicas.(sr.sr_shard)
-              with
-              | None -> ()
-              | Some r ->
-                  let sc = Api.storage_counters (R.group r.r_rsm) in
-                  sc.Api.wal_records_replayed <-
-                    sc.Api.wal_records_replayed + st.Rsm.records_replayed;
-                  sc.Api.torn_tails_truncated <-
-                    sc.Api.torn_tails_truncated + st.Rsm.torn_tails;
-                  sc.Api.checksum_rejects <-
-                    sc.Api.checksum_rejects + st.Rsm.checksum_rejects))
-        sr.sr_hosts)
-    reports;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -54,7 +54,6 @@ val deploy :
   ?resilience:int ->
   ?send_method:Types.send_method ->
   ?pipeline:int ->
-  ?checkpoint:Amoeba_grouplib.Stable_store.t * int ->
   ?durable:durable_config ->
   ?record:bool ->
   ?eps_per_replica:int ->
@@ -64,7 +63,6 @@ val deploy :
     transfer included), per the map's placement.  Blocking — call it
     from a cluster process; it returns once all replicas are up.
     [resilience] (default 1) is each group's resilience degree.
-    [checkpoint] enables consistent checkpointing on every replica.
     [record] (default false) taps every replica's delivery stream and
     logs every completed write, so {!check} can run the chaos
     invariants per shard after a faulted run.  [eps_per_replica]
@@ -99,8 +97,8 @@ val recover :
     others join by atomic state transfer — a host whose disk refuses
     recovery (damage) re-syncs that way too.  Blocking; returns once
     every shard serves again.  {!recovery_report} says what each disk
-    yielded, and the per-replica [GetInfoGroup] counters account the
-    replayed/torn/rejected records.  Endpoint arrays put the new
+    yielded, and the durable config's [Stable_store.counters] account
+    the replayed/torn/rejected records.  Endpoint arrays put the new
     creator's pool first — hand them to [Router.update_endpoints].
 
     [hosts_for] overrides the per-shard host list (default: the map's

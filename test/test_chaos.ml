@@ -228,6 +228,14 @@ let test_loss_burst_repaired () =
   Alcotest.(check bool) "the burst lost frames" true (o.Chaos.cond_losses > 0);
   Alcotest.(check bool) "nacks repaired the gaps" true (o.Chaos.nacks > 0)
 
+(* Every send declares three ops, so the summed kernel counters give
+   exactly three ops per batched send. *)
+let test_batched_run_counts_ops_per_batch () =
+  let o = Chaos.run ~n:4 ~seed:16 ~schedule:[] ~pipeline:4 ~ops_per_send:3 () in
+  Alcotest.(check bool) "invariants hold" true (Chaos.ok o);
+  Alcotest.(check bool) "batched sends counted" true (o.Chaos.batches_sent > 0);
+  Alcotest.(check (float 0.)) "ops per batch" 3.0 o.Chaos.ops_per_batch_avg
+
 (* Two bursts of one kind that overlap staggered (the second starts
    inside the first and outlives it) must not leave the first burst's
    value installed.  While bursts overlap the newest sets the value;
@@ -429,7 +437,7 @@ let test_paused_sequencer_expelled_and_rejoins () =
         (List.mem 0 info.Api.members);
       Alcotest.(check bool)
         "a recovery incarnation was installed" true
-        (info.Api.resets_survived > 0);
+        ((Kernel.stats (Api.kernel g1)).Kernel.resets_survived > 0);
       (* It wakes up, drains its backlog, discovers the group moved on
          without it, and rejoins as a fresh member. *)
       Machine.resume (Cluster.machine cl 0);
@@ -501,17 +509,15 @@ let test_resilient_sends_under_loss () =
             (Printf.sprintf "member %d agrees" i)
             reference s)
         streams;
-      (* The repair machinery did real work and reports it through
-         GetInfoGroup. *)
-      let nacks =
+      (* The repair machinery did real work and counts it in each
+         kernel's stats. *)
+      let sum f =
         List.fold_left
-          (fun acc g -> acc + (Api.get_info_group g).Api.nacks_sent)
-          0 groups
-      and retrans =
-        List.fold_left
-          (fun acc g -> acc + (Api.get_info_group g).Api.retransmissions)
+          (fun acc g -> acc + f (Kernel.stats (Api.kernel g)))
           0 groups
       in
+      let nacks = sum (fun st -> st.Kernel.nacks_sent)
+      and retrans = sum (fun st -> st.Kernel.retransmissions) in
       Alcotest.(check bool) "loss provoked nacks" true (nacks > 0);
       Alcotest.(check bool) "nacks provoked retransmissions" true (retrans > 0))
 
@@ -661,6 +667,8 @@ let suite =
       tc "corruption caught by checksums" test_corruption_caught_by_checksums;
       tc "one-way cut survived" test_oneway_cut_survived;
       tc "loss burst repaired" test_loss_burst_repaired;
+      tc "batched run counts ops per batch"
+        test_batched_run_counts_ops_per_batch;
       tc "overlapping bursts restore the pre-burst net"
         test_overlapping_bursts_restore;
       tc "fault schedule rejects malformed input"

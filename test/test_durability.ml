@@ -156,9 +156,9 @@ let test_truncated_checkpoint_refused () =
 
 (* The crash window between writing a checkpoint and trimming the WAL:
    the disk then holds a checkpoint at count 8 AND a WAL still
-   covering 1..10.  Recovery must skip the already-checkpointed
-   indices — replaying exactly 9 and 10, no double-apply. *)
-let test_recover_skips_checkpointed_indices () =
+   covering 1..10.  Recovery must skip the indices the checkpoint
+   covers — replaying exactly 9 and 10, no double-apply. *)
+let test_recover_skips_indices_under_checkpoint () =
   let store = Stable_store.create () in
   let d1 =
     { Rsm.store; log = "a"; sync = Rsm.Every_commit; checkpoint_every = 0 }
@@ -181,7 +181,7 @@ let test_recover_skips_checkpointed_indices () =
       Engine.sleep cl.Cluster.engine (Time.sec 1);
       (match Stable_store.read store ~machine_name:"m0" ~key:(Rsm.ckpt_name d2)
        with
-      | None -> Alcotest.fail "replica b never checkpointed"
+      | None -> Alcotest.fail "replica b wrote no checkpoint"
       | Some ckpt ->
           assert (Stable_store.write store (Cluster.machine cl 0)
                     ~key:(Rsm.ckpt_name d1) ckpt));
@@ -463,7 +463,7 @@ let suite =
       tc "truncated checkpoint is refused" `Quick
         test_truncated_checkpoint_refused;
       tc "recovery skips checkpointed indices" `Quick
-        test_recover_skips_checkpointed_indices;
+        test_recover_skips_indices_under_checkpoint;
       tc "state-transfer resumption after a mid-window crash" `Quick
         test_state_transfer_resumption;
       tc "power cycle on a clean net" `Quick test_power_cycle_clean;

@@ -118,22 +118,50 @@ let test_state_transfer_under_concurrent_updates () =
         (s0.Log_app.entries = s2.Log_app.entries)
   | None -> Alcotest.fail "scenario did not finish"
 
+(* The consistent-checkpointing scheme on its own: no WAL fsyncs, a
+   checkpoint every 5 applied updates. *)
+let checkpoint_every_5 store =
+  { Rsm.store; log = "log"; sync = Rsm.Checkpoint_only; checkpoint_every = 5 }
+
+(* "Reboot" machine 0 of a dead world: a new world remounts the same
+   disk, recovers the replica from it and seeds a fresh group with the
+   recovered cut, which then takes update 99.  Returns the recovered
+   applied count and the fresh group's final (state, applied). *)
+let restart_from_disk store =
+  let cl2 = Cluster.create ~n:1 () in
+  let final = ref None in
+  Cluster.spawn_on cl2 0 (fun () ->
+      match R.recover (checkpoint_every_5 store) (Cluster.machine cl2 0) with
+      | Error e -> Alcotest.failf "recovery refused: %s" e
+      | Ok rec_ ->
+          let seed = (rec_.R.r_state, rec_.R.r_applied) in
+          let r = R.create (Cluster.flip cl2 0) ~seed () in
+          ignore (check_ok "post-restart submit" (R.submit r 99));
+          Engine.sleep cl2.Cluster.engine (Time.ms 100);
+          final := Some (rec_.R.r_applied, R.state r, R.applied r));
+  Cluster.run ~until:(Time.sec 30) cl2;
+  match !final with
+  | Some f -> f
+  | None -> Alcotest.fail "no checkpoint survived"
+
 let test_checkpoint_roundtrip () =
   let cl = Cluster.create ~n:2 () in
   let store = Stable_store.create () in
   let result = ref None in
   Cluster.spawn cl (fun () ->
-      let r0 = R.create (Cluster.flip cl 0) ~checkpoint:(store, 5) () in
+      let r0 =
+        R.create (Cluster.flip cl 0) ~durable:(checkpoint_every_5 store) ()
+      in
       for k = 1 to 12 do
         ignore (check_ok "submit" (R.submit r0 k))
       done;
       Engine.sleep cl.Cluster.engine (Time.sec 1);
-      result := R.checkpointed store ~machine_name:"m0");
+      result := R.durable_snapshot r0);
   Cluster.run ~until:(Time.sec 30) cl;
   match !result with
   | Some (st, count) ->
       Alcotest.(check int) "checkpoint at a multiple of 5" 10 count;
-      Alcotest.(check int) "checkpointed sum" 55 st.Log_app.sum
+      Alcotest.(check int) "checkpoint sum" 55 st.Log_app.sum
   | None -> Alcotest.fail "no checkpoint written"
 
 let test_restart_from_checkpoint_after_total_failure () =
@@ -142,7 +170,9 @@ let test_restart_from_checkpoint_after_total_failure () =
   let store = Stable_store.create () in
   let cl = Cluster.create ~n:2 () in
   Cluster.spawn cl (fun () ->
-      let r0 = R.create (Cluster.flip cl 0) ~checkpoint:(store, 5) () in
+      let r0 =
+        R.create (Cluster.flip cl 0) ~durable:(checkpoint_every_5 store) ()
+      in
       let _r1 = check_ok "join" (R.join (Cluster.flip cl 1) (R.address r0)) in
       for k = 1 to 10 do
         ignore (check_ok "submit" (R.submit r0 k))
@@ -151,24 +181,10 @@ let test_restart_from_checkpoint_after_total_failure () =
       Machine.crash (Cluster.machine cl 0);
       Machine.crash (Cluster.machine cl 1));
   Cluster.run ~until:(Time.sec 30) cl;
-  (* "Reboot": a new world that remounts the same disk. *)
-  let cl2 = Cluster.create ~n:1 () in
-  let final = ref None in
-  Cluster.spawn cl2 (fun () ->
-      match R.checkpointed store ~machine_name:"m0" with
-      | None -> ()
-      | Some (st, count) ->
-          let r = R.create (Cluster.flip cl2 0) ~seed:(st, count) () in
-          ignore (check_ok "post-restart submit" (R.submit r 99));
-          Engine.sleep cl2.Cluster.engine (Time.ms 100);
-          final := Some (R.state r, R.applied r));
-  Cluster.run ~until:(Time.sec 30) cl2;
-  match !final with
-  | Some (st, applied) ->
-      Alcotest.(check int) "continued from the cut" 11 applied;
-      Alcotest.(check int) "sum includes checkpoint + new update"
-        (55 + 99) st.Log_app.sum
-  | None -> Alcotest.fail "no checkpoint survived"
+  let _, st, applied = restart_from_disk store in
+  Alcotest.(check int) "continued from the cut" 11 applied;
+  Alcotest.(check int) "sum includes checkpoint + new update" (55 + 99)
+    st.Log_app.sum
 
 (* Atomic state transfer while the wire misbehaves: the joiner's
    snapshot query, the RPC'd snapshot itself and the concurrent update
@@ -224,7 +240,10 @@ let test_transfer_under_reordering () =
 let test_checkpoint_restore_under_hostile_net () =
   (* Checkpoints taken while the wire drops, duplicates and reorders
      frames must still be consistent cuts: a fresh group seeded from
-     the recovered checkpoint continues with the right state. *)
+     the recovered disk continues with the right state.  The trim after
+     the checkpoint at 10 syncs the log, so a record past the
+     checkpoint may be durable too: recovery may restore any prefix at
+     or past the last checkpoint. *)
   let store = Stable_store.create () in
   let cl = Cluster.create ~n:2 ~seed:23 () in
   Cluster.spawn cl (fun () ->
@@ -236,7 +255,9 @@ let test_checkpoint_restore_under_hostile_net () =
           jitter_ns = Time.ms 2;
           corrupt_prob = 0.01;
         };
-      let r0 = R.create (Cluster.flip cl 0) ~checkpoint:(store, 5) () in
+      let r0 =
+        R.create (Cluster.flip cl 0) ~durable:(checkpoint_every_5 store) ()
+      in
       let _r1 = check_ok "join" (R.join (Cluster.flip cl 1) (R.address r0)) in
       for k = 1 to 12 do
         ignore (check_ok "submit" (R.submit r0 k))
@@ -247,23 +268,14 @@ let test_checkpoint_restore_under_hostile_net () =
       Machine.crash (Cluster.machine cl 0);
       Machine.crash (Cluster.machine cl 1));
   Cluster.run ~until:(Time.sec 60) cl;
-  let cl2 = Cluster.create ~n:1 () in
-  let final = ref None in
-  Cluster.spawn cl2 (fun () ->
-      match R.checkpointed store ~machine_name:"m0" with
-      | None -> ()
-      | Some (st, count) ->
-          let r = R.create (Cluster.flip cl2 0) ~seed:(st, count) () in
-          ignore (check_ok "post-restart submit" (R.submit r 99));
-          Engine.sleep cl2.Cluster.engine (Time.ms 100);
-          final := Some (R.state r, R.applied r));
-  Cluster.run ~until:(Time.sec 30) cl2;
-  match !final with
-  | Some (st, applied) ->
-      Alcotest.(check int) "continued from the consistent cut" 11 applied;
-      Alcotest.(check int) "sum = checkpointed 1..10 + new update"
-        (55 + 99) st.Log_app.sum
-  | None -> Alcotest.fail "no checkpoint survived"
+  let recovered, st, applied = restart_from_disk store in
+  Alcotest.(check bool) "recovered at or past the checkpoint at 10" true
+    (recovered >= 10);
+  Alcotest.(check int) "continued from the consistent cut" (recovered + 1)
+    applied;
+  Alcotest.(check int) "sum = recovered 1..n + new update"
+    ((recovered * (recovered + 1) / 2) + 99)
+    st.Log_app.sum
 
 let test_atomic_create_success () =
   let cl = Cluster.create ~n:3 () in
