@@ -198,6 +198,72 @@ let service_power_cycle_run =
           Amoeba_grouplib.Stable_store.counters
             (Option.get tb.Testbed.durable).Service.d_store ) )
 
+(* The section 6 comparison as `bench ablation_cm` and
+   `ablation_migrate` print it. *)
+let baseline_compare_runs =
+  List.map
+    (fun proto ->
+      ( "baseline compare " ^ Experiments.baseline_name proto,
+        fun () -> digest (Experiments.baseline_compare ~n:8 proto) ))
+    Experiments.[ Amoeba_pb; Amoeba_bb; Cm_token; Pos_ack; Migrating ]
+
+let burst_delay_runs =
+  List.map
+    (fun (name, which) ->
+      ("burst delay " ^ name, fun () -> digest (Experiments.burst_delay ~n:8 which)))
+    [ ("static", `Static); ("migrating", `Migrating) ]
+
+(* A comparison protocol under persistent link conditions: four
+   members each send six messages; every member's delivery stream is
+   digested with the engine's step count and the frames delivered. *)
+let baseline_fault_run (type node) ~(make_group : _ -> node list)
+    ~(send : node -> bytes -> unit)
+    ~(events : node -> Amoeba_baselines.Types_baseline.delivery Channel.t)
+    ~net ~seed () =
+  let cl = Cluster.create ~seed ~n:4 () in
+  let streams = Array.make 4 [] in
+  Cluster.spawn cl (fun () ->
+      let nodes = make_group (Array.to_list cl.Cluster.flips) in
+      Medium.set_conditions cl.Cluster.net (profile net);
+      List.iteri
+        (fun i node ->
+          Cluster.spawn cl (fun () ->
+              let rec loop () =
+                let d = Channel.recv cl.Cluster.engine (events node) in
+                streams.(i) <-
+                  (d.seq, d.sender, Bytes.to_string d.body) :: streams.(i);
+                loop ()
+              in
+              loop ());
+          Cluster.spawn cl (fun () ->
+              for k = 1 to 6 do
+                send node (Bytes.of_string (Printf.sprintf "%d.%d" i k))
+              done))
+        nodes);
+  Cluster.run ~until:(Time.sec 30) cl;
+  digest
+    ( Array.map List.rev streams,
+      Engine.step_count cl.Cluster.engine,
+      Medium.frames_delivered cl.Cluster.net )
+
+let baseline_fault_runs =
+  let open Amoeba_baselines in
+  List.concat_map
+    (fun (net, seed) ->
+      let name proto = Printf.sprintf "baseline %s %s seed %d" proto net seed in
+      [
+        ( name "cm",
+          baseline_fault_run ~make_group:Cm.make_group ~send:Cm.send
+            ~events:Cm.events ~net ~seed );
+        ( name "posack",
+          baseline_fault_run ~make_group:Posack.make_group ~send:Posack.send
+            ~events:Posack.events ~net ~seed );
+        ( name "migrating",
+          baseline_fault_run ~make_group:Migrating.make_group
+            ~send:Migrating.send ~events:Migrating.events ~net ~seed );
+      ])
+    [ ("bursty-light", 3); ("dup", 6) ]
+
 let runs =
   random_runs @ net_runs
   @ [
@@ -207,6 +273,7 @@ let runs =
       migration_chaos_run;
       service_power_cycle_run;
     ]
+  @ baseline_compare_runs @ burst_delay_runs @ baseline_fault_runs
 
 (* Digests pinned from the runs above; a run missing here fails as
    unpinned. *)
@@ -238,6 +305,19 @@ let pinned =
     ("closed loop ether 2 shards", "e33a546351046562fd9eb715fc476533");
     ("migration chaos seed 1", "aa7d2fc0aea506ac60b8c9f495bd5b24");
     ("service power cycle ether 2 shards ssd", "47a6a54a12c4dc0f9c8a9e3650da98bb");
+    ("baseline compare Amoeba PB", "389e605376eb4e81185d88de6eb5fc8d");
+    ("baseline compare Amoeba BB", "cdb1883221b92c33b280ad4d8b81ec38");
+    ("baseline compare Chang-Maxemchuk", "d7caad386bc4c774bef5039ecb0b6ec4");
+    ("baseline compare positive acks", "34e582b3e872f5f202bbbaedc6a0c882");
+    ("baseline compare migrating seq", "34f8401d112d341960ade1f4a754f2b5");
+    ("burst delay static", "1f36a4fa9c6fd04d7b7fc87a0ab60208");
+    ("burst delay migrating", "4b15f973ad92d0f4946652a1460b6c9c");
+    ("baseline cm bursty-light seed 3", "cfe8d0f892aba54fcc8a01c4257553ee");
+    ("baseline posack bursty-light seed 3", "7c84a8db85bc614f3c62ce4a2b90104e");
+    ("baseline migrating bursty-light seed 3", "26e851ebf0dd25c9f1597fdcfb0877b8");
+    ("baseline cm dup seed 6", "993dd6c84515157e2ccf1ff8eb5f2cb0");
+    ("baseline posack dup seed 6", "0616bc3ea7d3a675670031975a278519");
+    ("baseline migrating dup seed 6", "9905f9ddfb744c3c1a79b9cd15cdb944");
   ]
 
 let test_run (name, run) expected () =
