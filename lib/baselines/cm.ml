@@ -1,88 +1,34 @@
-open Amoeba_sim
-open Amoeba_net
-open Amoeba_flip
-open Types_baseline
-
-type wire =
+type Node.wire +=
   | Data of { sender : int; msgid : int; body : bytes }
   | Ack of { seq : int; sender : int; msgid : int; next_token : int }
-  | Nack of { seq : int; reply_to : Addr.t }
-  | Retrans of { seq : int; sender : int; msgid : int; body : bytes }
 
-type Packet.body += Cm of wire
-
-(* All activity runs in the node's single protocol process so a
-   node's broadcasts reach the wire in commit order. *)
-type input =
-  | Wire of wire
-  | Submit of { msgid : int; body : bytes; done_ : unit Ivar.t }
-
-type pending_send = {
-  p_msgid : int;
-  p_done : unit Ivar.t;
-}
-
-type node = {
-  idx : int;
-  n : int;
-  flip : Flip.t;
-  machine : Machine.t;
-  engine : Engine.t;
-  cost : Cost_model.t;
-  gaddr : Addr.t;
-  kaddr : Addr.t;
-  peer_addrs : Addr.t array;
-  inbox : input Channel.t;
-  deliveries : delivery Channel.t;
-  (* protocol state *)
+type cm = {
   mutable token : int;  (** current token-site index *)
   mutable next_seq : int;  (** next seq the token site will assign *)
-  mutable nxt : int;  (** next seq to deliver *)
   unacked : (int * int) Queue.t;  (** (sender, msgid) awaiting an ack *)
   data_buf : (int * int, bytes) Hashtbl.t;
   acked : (int * int, int) Hashtbl.t;  (** (sender,msgid) -> seq *)
-  slots : (int, int * int * bytes) Hashtbl.t;  (** seq -> sender,msgid,body *)
-  hist : (int, int * int * bytes) Hashtbl.t;  (** delivered, for repairs *)
-  mutable pending : pending_send option;
-  mutable msgid_counter : int;
-  mutable delivered_count : int;
-  mutable repair_armed : bool;
-  mutable max_seen : int;
 }
 
-let charge t d = Machine.work t.machine ~layer:"group" d
+type Node.state += Cm of cm
 
-(* The user-level context switches the Amoeba measurements include:
-   one into the kernel per send, one to wake the blocked sender, one
-   to the receiving thread per delivery.  Charged here too so the
-   baseline comparison is apples-to-apples. *)
-let charge_user t = Machine.work t.machine ~layer:"user" t.cost.context_switch_ns
-
-let wire_size t = function
-  | Data { body; _ } | Retrans { body; _ } ->
-      t.cost.header_group + t.cost.header_user + Bytes.length body
-  | Ack _ | Nack _ -> t.cost.header_group
-
-let mcast t w =
-  ignore
-    (Flip.multicast t.flip
-       (Packet.make ~src:t.kaddr ~dst:t.gaddr ~size:(wire_size t w) (Cm w)))
-
-let ucast t ~dst w =
-  ignore
-    (Flip.send t.flip (Packet.make ~src:t.kaddr ~dst ~size:(wire_size t w) (Cm w)))
+let cm (t : Node.t) = match t.state with Cm s -> s | _ -> invalid_arg "Cm"
+let rec arm_repair t = Node.arm_repair t (fun () -> arm_repair t)
 
 (* Records an acknowledgement's effect on local state; never blocks. *)
-let rec apply_ack_state t ~seq ~sender ~msgid ~next_token =
-  t.next_seq <- max t.next_seq (seq + 1);
+let rec apply_ack_state (t : Node.t) ~seq ~sender ~msgid ~next_token =
+  let s = cm t in
+  s.next_seq <- max s.next_seq (seq + 1);
   t.max_seen <- max t.max_seen seq;
-  t.token <- next_token;
-  if not (Hashtbl.mem t.acked (sender, msgid)) then begin
-    Hashtbl.replace t.acked (sender, msgid) seq;
-    (match Hashtbl.find_opt t.data_buf (sender, msgid) with
-    | Some body -> Hashtbl.replace t.slots seq (sender, msgid, body)
+  s.token <- next_token;
+  if not (Hashtbl.mem s.acked (sender, msgid)) then begin
+    Hashtbl.replace s.acked (sender, msgid) seq;
+    (match Hashtbl.find_opt s.data_buf (sender, msgid) with
+    | Some body ->
+        Hashtbl.remove s.data_buf (sender, msgid);
+        Node.learn t seq (sender, msgid, body)
     | None -> ());
-    drain t
+    settle t
   end
 
 (* Token site duty: acknowledge (and thereby sequence) the next
@@ -91,192 +37,81 @@ let rec apply_ack_state t ~seq ~sender ~msgid ~next_token =
    receive path both call this, and a second activation while the
    first is blocked on the wire must see the token already passed on
    (otherwise two fibers would assign the same sequence number). *)
-and ack_pending t =
-  if t.token = t.idx then begin
-    match Queue.take_opt t.unacked with
+and ack_pending (t : Node.t) =
+  let s = cm t in
+  if s.token = t.idx then begin
+    match Queue.take_opt s.unacked with
     | None -> ()
     | Some (sender, msgid) ->
-        if Hashtbl.mem t.acked (sender, msgid) then ack_pending t
+        if Hashtbl.mem s.acked (sender, msgid) then ack_pending t
         else begin
-          let seq = t.next_seq in
+          let seq = s.next_seq in
           let next_token = (t.idx + 1) mod t.n in
           apply_ack_state t ~seq ~sender ~msgid ~next_token;
-          charge t t.cost.group_seq_ns;
-          mcast t (Ack { seq; sender; msgid; next_token })
+          Node.charge t t.cost.group_seq_ns;
+          Node.mcast t (Ack { seq; sender; msgid; next_token })
         end
   end
 
-and apply_ack t ~seq ~sender ~msgid ~next_token =
-  apply_ack_state t ~seq ~sender ~msgid ~next_token;
+(* After a delivery: repair a gap. *)
+and settle t = if Node.gap t then arm_repair t
+
+(* Holds a data message until an acknowledgement sequences it. *)
+let buffer t ~sender ~msgid body =
+  let s = cm t in
+  Hashtbl.replace s.data_buf (sender, msgid) body;
+  Queue.push (sender, msgid) s.unacked;
   ack_pending t
 
-and drain t =
-  match Hashtbl.find_opt t.slots t.nxt with
-  | None -> if gap t then arm_repair t
-  | Some (sender, msgid, body) ->
-      Hashtbl.remove t.slots t.nxt;
-      Hashtbl.remove t.data_buf (sender, msgid);
-      Hashtbl.replace t.hist t.nxt (sender, msgid, body);
-      charge_user t;
-      Channel.send t.deliveries { seq = t.nxt; sender; body };
-      t.delivered_count <- t.delivered_count + 1;
-      (match t.pending with
-      | Some p when sender = t.idx && p.p_msgid = msgid ->
-          t.pending <- None;
-          Ivar.fill p.p_done ()
-      | Some _ | None -> ());
-      t.nxt <- t.nxt + 1;
-      drain t
-
-and gap t = t.max_seen >= t.nxt
-
-and arm_repair t =
-  if not t.repair_armed then begin
-    t.repair_armed <- true;
-    ignore
-      (Engine.schedule t.engine ~after:t.cost.nack_timeout_ns (fun () ->
-           t.repair_armed <- false;
-           if gap t then
-             (* The member with index (seq mod n) serves the repair,
-                spreading the load over the old token sites.  Sending
-                blocks, so it needs its own process. *)
-             Engine.spawn t.engine (fun () ->
-                 mcast t (Nack { seq = t.nxt; reply_to = t.kaddr });
-                 arm_repair t)))
-  end
-
-let handle t (w : wire) =
-  match w with
-  | Data { sender; msgid; body } ->
-      charge t t.cost.group_deliver_ns;
-      if not (Hashtbl.mem t.acked (sender, msgid)) then begin
-        Hashtbl.replace t.data_buf (sender, msgid) body;
-        Queue.push (sender, msgid) t.unacked;
-        ack_pending t
-      end
-      else begin
-        (* Ack already seen (retransmitted data): complete the slot. *)
-        let seq = Hashtbl.find t.acked (sender, msgid) in
-        if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then begin
-          Hashtbl.replace t.slots seq (sender, msgid, body);
-          drain t
-        end
-      end
+let receive (t : Node.t) = function
+  | Data { sender; msgid; body } -> (
+      Node.charge t t.cost.group_deliver_ns;
+      match Hashtbl.find_opt (cm t).acked (sender, msgid) with
+      | None -> buffer t ~sender ~msgid body
+      | Some seq ->
+          (* Ack already seen (retransmitted data): complete the slot. *)
+          if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then begin
+            Node.learn t seq (sender, msgid, body);
+            settle t
+          end)
   | Ack { seq; sender; msgid; next_token } ->
-      charge t t.cost.group_deliver_ns;
-      apply_ack t ~seq ~sender ~msgid ~next_token;
-      if gap t then arm_repair t
-  | Nack { seq; reply_to } ->
-      charge t t.cost.group_deliver_ns;
-      if seq mod t.n = t.idx then begin
-        match Hashtbl.find_opt t.hist seq with
-        | Some (sender, msgid, body) ->
-            ucast t ~dst:reply_to (Retrans { seq; sender; msgid; body })
-        | None -> ()
-      end
-  | Retrans { seq; sender; msgid; body } ->
-      charge t t.cost.group_deliver_ns;
-      if seq >= t.nxt then begin
-        Hashtbl.replace t.acked (sender, msgid) seq;
-        Hashtbl.replace t.slots seq (sender, msgid, body);
-        t.max_seen <- max t.max_seen seq;
-        drain t
-      end
+      Node.charge t t.cost.group_deliver_ns;
+      apply_ack_state t ~seq ~sender ~msgid ~next_token;
+      ack_pending t;
+      if Node.gap t then arm_repair t
+  | _ -> ()
 
-let submit t ~msgid ~body ~done_ =
-  if not (Ivar.is_full done_) then begin
-    mcast t (Data { sender = t.idx; msgid; body });
-    (* Our own data must enter our own buffers too. *)
-    if not (Hashtbl.mem t.acked (t.idx, msgid)) then begin
-      Hashtbl.replace t.data_buf (t.idx, msgid) body;
-      Queue.push (t.idx, msgid) t.unacked;
-      ack_pending t
-    end;
-    ignore
-      (Engine.schedule t.engine ~after:t.cost.retrans_timeout_ns (fun () ->
-           Channel.send t.inbox (Submit { msgid; body; done_ })))
-  end
+(* Multicast the data, with a retransmission timer against lost data
+   or acks. *)
+let submit (t : Node.t) (sub : Node.submission) =
+  Node.mcast t (Data { sender = t.idx; msgid = sub.msgid; body = sub.body });
+  (* Our own data must enter our own buffers too. *)
+  if not (Hashtbl.mem (cm t).acked (t.idx, sub.msgid)) then
+    buffer t ~sender:t.idx ~msgid:sub.msgid sub.body;
+  Node.retry_later t sub
 
-let node_loop t () =
-  let rec loop () =
-    (match Channel.recv t.engine t.inbox with
-    | Wire w -> handle t w
-    | Submit { msgid; body; done_ } -> submit t ~msgid ~body ~done_);
-    loop ()
-  in
-  loop ()
+let repaired t seq ((sender, msgid, _) as e) =
+  let s = cm t in
+  Hashtbl.replace s.acked (sender, msgid) seq;
+  Hashtbl.remove s.data_buf (sender, msgid);
+  Node.learn t seq e;
+  settle t
 
-let make_node ~idx ~n ~gaddr flip =
-  let machine = Flip.machine flip in
-  let t =
+let make_group =
+  Node.make_group
     {
-      idx;
-      n;
-      flip;
-      machine;
-      engine = Machine.engine machine;
-      cost = Machine.cost machine;
-      gaddr;
-      kaddr = Flip.fresh_addr flip;
-      peer_addrs = [||];
-      inbox = Channel.create ();
-      deliveries = Channel.create ();
-      token = 0;
-      next_seq = 0;
-      nxt = 0;
-      unacked = Queue.create ();
-      data_buf = Hashtbl.create 32;
-      acked = Hashtbl.create 64;
-      slots = Hashtbl.create 32;
-      hist = Hashtbl.create 256;
-      pending = None;
-      msgid_counter = 0;
-      delivered_count = 0;
-      repair_armed = false;
-      max_seen = -1;
+      init =
+        (fun () ->
+          Cm
+            {
+              token = 0;
+              next_seq = 0;
+              unacked = Queue.create ();
+              data_buf = Hashtbl.create 32;
+              acked = Hashtbl.create 64;
+            });
+      payload = (function Data { body; _ } -> Some body | _ -> None);
+      receive;
+      submit;
+      repaired;
     }
-  in
-  let on_packet p =
-    match p.Packet.body with
-    | Cm w -> Channel.send t.inbox (Wire w)
-    | _ -> ()
-  in
-  Flip.register flip t.kaddr on_packet;
-  Flip.register_group flip gaddr on_packet;
-  Engine.spawn t.engine (node_loop t);
-  t
-
-let make_group flips =
-  match flips with
-  | [] -> []
-  | first :: _ ->
-      let gaddr = Flip.fresh_addr first in
-      let n = List.length flips in
-      List.mapi (fun idx flip -> make_node ~idx ~n ~gaddr flip) flips
-
-(* Blocking send: multicast the data, wait for local delivery, with a
-   retransmission timer against lost data or acks. *)
-let send t body =
-  t.msgid_counter <- t.msgid_counter + 1;
-  let msgid = t.msgid_counter in
-  let p = { p_msgid = msgid; p_done = Ivar.create () } in
-  t.pending <- Some p;
-  charge_user t;
-  charge t t.cost.group_send_ns;
-  Channel.send t.inbox (Submit { msgid; body; done_ = p.p_done });
-  Ivar.read t.engine p.p_done;
-  charge_user t
-
-let events t = t.deliveries
-let delivered t = t.delivered_count
-let node_index t = t.idx
-
-let debug_state t =
-  Printf.sprintf
-    "node %d: token=%d next_seq=%d nxt=%d unacked=[%s] slots=%d data_buf=%d pending=%b"
-    t.idx t.token t.next_seq t.nxt
-    (String.concat ";"
-       (List.map (fun (s, m) -> Printf.sprintf "%d.%d" s m)
-          (List.of_seq (Queue.to_seq t.unacked))))
-    (Hashtbl.length t.slots) (Hashtbl.length t.data_buf)
-    (match t.pending with Some _ -> true | None -> false)

@@ -16,26 +16,5 @@
     repaired with negative acknowledgements against the previous token
     sites' histories. *)
 
-open Amoeba_sim
-open Amoeba_flip
-open Types_baseline
-
-type node
-
-val make_group : Flip.t list -> node list
-(** One node per FLIP stack; membership is fixed at creation.  The
-    initial token site is node 0. *)
-
-val send : node -> bytes -> unit
-(** Blocking totally-ordered broadcast: returns once the message has
-    been sequenced and delivered locally. *)
-
-val events : node -> delivery Channel.t
-
-val delivered : node -> int
-
-val node_index : node -> int
-
-(** {1 Introspection for tests} *)
-
-val debug_state : node -> string
+val make_group : Amoeba_flip.Flip.t list -> Node.t list
+(** The initial token site is node 0. *)

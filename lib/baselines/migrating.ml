@@ -1,248 +1,81 @@
-open Amoeba_sim
-open Amoeba_net
-open Amoeba_flip
-open Types_baseline
-
-type wire =
+type Node.wire +=
   | Req of { sender : int; msgid : int; body : bytes; hops : int }
   | Data of { seq : int; sender : int; msgid : int; body : bytes; new_holder : int }
-  | Nack of { seq : int; reply_to : Addr.t }
-  | Retrans of { seq : int; sender : int; msgid : int; body : bytes }
 
-type Packet.body += Mig of wire
-
-(* Everything — wire traffic and the application's own submissions —
-   is handled by the node's single protocol process, so a node's
-   multicasts reach the wire in commit order (two processes sending
-   concurrently could otherwise reorder a token handoff). *)
-type input =
-  | Wire of wire
-  | Submit of { msgid : int; body : bytes; done_ : unit Ivar.t }
-
-type node = {
-  idx : int;
-  n : int;
-  flip : Flip.t;
-  machine : Machine.t;
-  engine : Engine.t;
-  cost : Cost_model.t;
-  gaddr : Addr.t;
-  kaddr : Addr.t;
-  mutable peers : Addr.t array;
-  inbox : input Channel.t;
-  deliveries : delivery Channel.t;
+type migrating = {
   mutable holder : int;  (** who we believe holds the token *)
   mutable next_seq : int;  (** valid when we hold the token *)
-  mutable nxt : int;
-  slots : (int, int * int * bytes) Hashtbl.t;
-  hist : (int, int * int * bytes) Hashtbl.t;
   seen : (int * int, unit) Hashtbl.t;  (** sequenced (sender,msgid) *)
-  mutable pending : (int * unit Ivar.t) option;
-  mutable msgid_counter : int;
-  mutable delivered_count : int;
   mutable token_arrivals : int;
-  mutable max_seen : int;
-  mutable repair_armed : bool;
 }
 
-let charge t d = Machine.work t.machine ~layer:"group" d
+type Node.state += Migrating of migrating
 
-(* See Cm: user-level context switches charged for a fair comparison. *)
-let charge_user t = Machine.work t.machine ~layer:"user" t.cost.context_switch_ns
-
-let wire_size t = function
-  | Req { body; _ } | Data { body; _ } | Retrans { body; _ } ->
-      t.cost.header_group + t.cost.header_user + Bytes.length body
-  | Nack _ -> t.cost.header_group
-
-let mcast t w =
-  ignore
-    (Flip.multicast t.flip
-       (Packet.make ~src:t.kaddr ~dst:t.gaddr ~size:(wire_size t w) (Mig w)))
-
-let ucast t ~dst w =
-  ignore
-    (Flip.send t.flip (Packet.make ~src:t.kaddr ~dst ~size:(wire_size t w) (Mig w)))
-
-let rec drain t =
-  match Hashtbl.find_opt t.slots t.nxt with
-  | None -> ()
-  | Some (sender, msgid, body) ->
-      Hashtbl.remove t.slots t.nxt;
-      Hashtbl.replace t.hist t.nxt (sender, msgid, body);
-      charge_user t;
-      Channel.send t.deliveries { seq = t.nxt; sender; body };
-      t.delivered_count <- t.delivered_count + 1;
-      (match t.pending with
-      | Some (m, done_) when sender = t.idx && m = msgid ->
-          t.pending <- None;
-          Ivar.fill done_ ()
-      | Some _ | None -> ());
-      t.nxt <- t.nxt + 1;
-      drain t
-
-let arm_repair t =
-  if not t.repair_armed then begin
-    t.repair_armed <- true;
-    ignore
-      (Engine.schedule t.engine ~after:t.cost.nack_timeout_ns (fun () ->
-           t.repair_armed <- false;
-           if t.max_seen >= t.nxt && not (Hashtbl.mem t.slots t.nxt) then
-             Engine.spawn t.engine (fun () ->
-                 mcast t (Nack { seq = t.nxt; reply_to = t.kaddr }))))
-  end
+let migrating (t : Node.t) =
+  match t.state with Migrating s -> s | _ -> invalid_arg "Migrating"
 
 (* Sequencing while holding the token; the token follows the sender.
    All state (sequence counter, token transfer, local slot) is
    committed before the blocking multicast, so a concurrent
    activation in another process cannot double-assign a sequence
    number or sequence under a token we already gave away. *)
-let sequence t ~sender ~msgid ~body =
-  if not (Hashtbl.mem t.seen (sender, msgid)) then begin
-    let seq = t.next_seq in
-
-    t.next_seq <- seq + 1;
-    Hashtbl.replace t.seen (sender, msgid) ();
-    let new_holder = sender in
-    t.holder <- new_holder;
-    Hashtbl.replace t.slots seq (sender, msgid, body);
-    t.max_seen <- max t.max_seen seq;
-    drain t;
-    charge t t.cost.group_seq_ns;
-    mcast t (Data { seq; sender; msgid; body; new_holder })
+let sequence (t : Node.t) ~sender ~msgid ~body =
+  let s = migrating t in
+  if not (Hashtbl.mem s.seen (sender, msgid)) then begin
+    let seq = s.next_seq in
+    s.next_seq <- seq + 1;
+    Hashtbl.replace s.seen (sender, msgid) ();
+    s.holder <- sender;
+    Node.learn t seq (sender, msgid, body);
+    Node.charge t t.cost.group_seq_ns;
+    Node.mcast t (Data { seq; sender; msgid; body; new_holder = sender })
   end
 
-let handle t (w : wire) =
-  match w with
+(* Sequences here when holding the token, else sends the request
+   towards the holder we believe in; a request is forwarded at most 8
+   times. *)
+let route (t : Node.t) ~sender ~msgid ~body ~hops =
+  let s = migrating t in
+  if s.holder = t.idx then sequence t ~sender ~msgid ~body
+  else if hops <= 8 then
+    Node.ucast t ~dst:t.peers.(s.holder) (Req { sender; msgid; body; hops })
+
+let receive (t : Node.t) = function
   | Req { sender; msgid; body; hops } ->
-      charge t t.cost.group_deliver_ns;
-      if t.holder = t.idx then sequence t ~sender ~msgid ~body
-      else if hops < 8 then
-        (* Stale destination: forward towards the current holder. *)
-        ucast t ~dst:t.peers.(t.holder) (Req { sender; msgid; body; hops = hops + 1 })
+      Node.charge t t.cost.group_deliver_ns;
+      route t ~sender ~msgid ~body ~hops:(hops + 1)
   | Data { seq; sender; msgid; body; new_holder } ->
-      charge t t.cost.group_deliver_ns;
-
-      Hashtbl.replace t.seen (sender, msgid) ();
+      Node.charge t t.cost.group_deliver_ns;
+      let s = migrating t in
+      Hashtbl.replace s.seen (sender, msgid) ();
       t.max_seen <- max t.max_seen seq;
-      let previous_holder = t.holder in
-      t.holder <- new_holder;
-      if new_holder = t.idx && previous_holder <> t.idx then begin
-        t.token_arrivals <- t.token_arrivals + 1;
-        t.next_seq <- seq + 1
-      end
-      else if new_holder = t.idx then t.next_seq <- seq + 1;
-      if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then begin
-        Hashtbl.replace t.slots seq (sender, msgid, body);
-        drain t
+      if new_holder = t.idx then begin
+        if s.holder <> t.idx then s.token_arrivals <- s.token_arrivals + 1;
+        s.next_seq <- seq + 1
       end;
-      if t.max_seen >= t.nxt then arm_repair t
-  | Nack { seq; reply_to } ->
-      charge t t.cost.group_deliver_ns;
-      if seq mod t.n = t.idx then begin
-        match Hashtbl.find_opt t.hist seq with
-        | Some (sender, msgid, body) ->
-            ucast t ~dst:reply_to (Retrans { seq; sender; msgid; body })
-        | None -> ()
-      end
-  | Retrans { seq; sender; msgid; body } ->
-      charge t t.cost.group_deliver_ns;
-      if seq >= t.nxt then begin
-        Hashtbl.replace t.slots seq (sender, msgid, body);
-        t.max_seen <- max t.max_seen seq;
-        drain t
-      end
+      s.holder <- new_holder;
+      if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then
+        Node.learn t seq (sender, msgid, body);
+      if Node.gap t then Node.arm_repair t ignore
+  | _ -> ()
 
-let submit t ~msgid ~body ~done_ =
-  if not (Ivar.is_full done_) then begin
-    if t.holder = t.idx then sequence t ~sender:t.idx ~msgid ~body
-    else
-      ucast t ~dst:t.peers.(t.holder)
-        (Req { sender = t.idx; msgid; body; hops = 0 });
-    (* Retry against a lost request, data or token-forwarding loop. *)
-    ignore
-      (Engine.schedule t.engine ~after:t.cost.retrans_timeout_ns (fun () ->
-           Channel.send t.inbox (Submit { msgid; body; done_ })))
-  end
+let submit (t : Node.t) (sub : Node.submission) =
+  route t ~sender:t.idx ~msgid:sub.msgid ~body:sub.body ~hops:0;
+  (* Retry against a lost request, data or token-forwarding loop. *)
+  Node.retry_later t sub
 
-let node_loop t () =
-  let rec loop () =
-    (match Channel.recv t.engine t.inbox with
-    | Wire w -> handle t w
-    | Submit { msgid; body; done_ } -> submit t ~msgid ~body ~done_);
-    loop ()
-  in
-  loop ()
-
-let make_node ~idx ~n ~gaddr flip =
-  let machine = Flip.machine flip in
-  let t =
+let make_group =
+  Node.make_group
     {
-      idx;
-      n;
-      flip;
-      machine;
-      engine = Machine.engine machine;
-      cost = Machine.cost machine;
-      gaddr;
-      kaddr = Flip.fresh_addr flip;
-      peers = [||];
-      inbox = Channel.create ();
-      deliveries = Channel.create ();
-      holder = 0;
-      next_seq = 0;
-      nxt = 0;
-      slots = Hashtbl.create 32;
-      hist = Hashtbl.create 256;
-      seen = Hashtbl.create 64;
-      pending = None;
-      msgid_counter = 0;
-      delivered_count = 0;
-      token_arrivals = 0;
-      max_seen = -1;
-      repair_armed = false;
+      init =
+        (fun () ->
+          Migrating
+            { holder = 0; next_seq = 0; seen = Hashtbl.create 64; token_arrivals = 0 });
+      payload =
+        (function Req { body; _ } | Data { body; _ } -> Some body | _ -> None);
+      receive;
+      submit;
+      repaired = Node.learn;
     }
-  in
-  let on_packet p =
-    match p.Packet.body with Mig w -> Channel.send t.inbox (Wire w) | _ -> ()
-  in
-  Flip.register flip t.kaddr on_packet;
-  Flip.register_group flip gaddr on_packet;
-  Engine.spawn t.engine (node_loop t);
-  t
 
-let make_group flips =
-  match flips with
-  | [] -> []
-  | first :: _ ->
-      let gaddr = Flip.fresh_addr first in
-      let n = List.length flips in
-      let nodes = List.mapi (fun idx flip -> make_node ~idx ~n ~gaddr flip) flips in
-      let peers = Array.of_list (List.map (fun t -> t.kaddr) nodes) in
-      List.iter (fun t -> t.peers <- peers) nodes;
-      nodes
-
-let send t body =
-  t.msgid_counter <- t.msgid_counter + 1;
-  let msgid = t.msgid_counter in
-  let done_ = Ivar.create () in
-  t.pending <- Some (msgid, done_);
-  charge_user t;
-  charge t t.cost.group_send_ns;
-  Channel.send t.inbox (Submit { msgid; body; done_ });
-  Ivar.read t.engine done_;
-  charge_user t
-
-let events t = t.deliveries
-let delivered t = t.delivered_count
-let token_moves t = t.token_arrivals
-
-let debug_state t =
-  Printf.sprintf
-    "node %d: holder=%d next_seq=%d nxt=%d max_seen=%d slots=[%s] pending=%b"
-    t.idx t.holder t.next_seq t.nxt t.max_seen
-    (String.concat ";"
-       (Hashtbl.fold
-          (fun seq (s, m, _) acc -> Printf.sprintf "%d<-%d.%d" seq s m :: acc)
-          t.slots []))
-    (match t.pending with Some _ -> true | None -> false)
+let token_moves t = (migrating t).token_arrivals

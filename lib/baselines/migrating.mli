@@ -10,24 +10,8 @@
     bursty senders.  Fixed membership, failure-free comparison
     protocol. *)
 
-open Amoeba_sim
-open Amoeba_flip
-open Types_baseline
-
-type node
-
-val make_group : Flip.t list -> node list
+val make_group : Amoeba_flip.Flip.t list -> Node.t list
 (** Node 0 holds the token initially. *)
 
-val send : node -> bytes -> unit
-
-val events : node -> delivery Channel.t
-
-val delivered : node -> int
-
-val token_moves : node -> int
+val token_moves : Node.t -> int
 (** Times the token arrived at this node. *)
-
-(** {1 Introspection for tests} *)
-
-val debug_state : node -> string

@@ -1,209 +1,99 @@
 open Amoeba_sim
-open Amoeba_net
-open Amoeba_flip
-open Types_baseline
 
-type wire =
+type Node.wire +=
   | Req of { sender : int; msgid : int; body : bytes }
   | Data of { seq : int; sender : int; msgid : int; body : bytes }
   | Pos_ack of { seq : int; from : int }
 
-type Packet.body += Pa of wire
-
-(* As in the other protocols, all activity runs in the node's single
-   protocol process so per-node wire order matches commit order. *)
-type input =
-  | Wire of wire
-  | Submit of { msgid : int; body : bytes }
-
-type node = {
-  idx : int;
-  n : int;
-  flip : Flip.t;
-  machine : Machine.t;
-  engine : Engine.t;
-  cost : Cost_model.t;
-  gaddr : Addr.t;
-  kaddr : Addr.t;
-  mutable peers : Addr.t array;  (** index -> kernel address *)
-  inbox : input Channel.t;
-  deliveries : delivery Channel.t;
-  mutable nxt : int;
-  slots : (int, int * int * bytes) Hashtbl.t;
-  mutable pending : (int * unit Ivar.t) option;
-  mutable msgid_counter : int;
-  mutable delivered_count : int;
-  (* sequencer-only *)
+(* Sequencer-only state (node 0). *)
+type posack = {
   mutable next_seq : int;
-  unacked : (int, (int, unit) Hashtbl.t * (int * int * bytes)) Hashtbl.t;
+  unacked : (int, (int, unit) Hashtbl.t * Node.entry) Hashtbl.t;
       (** seq -> (members yet to ack, entry) *)
   mutable acks_seen : int;
 }
 
-let charge t d = Machine.work t.machine ~layer:"group" d
+type Node.state += Posack of posack
 
-(* See Cm: user-level context switches charged for a fair comparison. *)
-let charge_user t = Machine.work t.machine ~layer:"user" t.cost.context_switch_ns
-
-let wire_size t = function
-  | Req { body; _ } | Data { body; _ } ->
-      t.cost.header_group + t.cost.header_user + Bytes.length body
-  | Pos_ack _ -> t.cost.header_group
-
-let mcast t w =
-  ignore
-    (Flip.multicast t.flip
-       (Packet.make ~src:t.kaddr ~dst:t.gaddr ~size:(wire_size t w) (Pa w)))
-
-let ucast t ~dst w =
-  ignore
-    (Flip.send t.flip (Packet.make ~src:t.kaddr ~dst ~size:(wire_size t w) (Pa w)))
-
-let rec drain t =
-  match Hashtbl.find_opt t.slots t.nxt with
-  | None -> ()
-  | Some (sender, msgid, body) ->
-      Hashtbl.remove t.slots t.nxt;
-      charge_user t;
-      Channel.send t.deliveries { seq = t.nxt; sender; body };
-      t.delivered_count <- t.delivered_count + 1;
-      (match t.pending with
-      | Some (m, done_) when sender = t.idx && m = msgid ->
-          t.pending <- None;
-          Ivar.fill done_ ()
-      | Some _ | None -> ());
-      t.nxt <- t.nxt + 1;
-      drain t
+let posack (t : Node.t) =
+  match t.state with Posack s -> s | _ -> invalid_arg "Posack"
 
 (* Retransmit to members whose positive ack has not arrived. *)
-let arm_retransmit t seq =
-  let rec tick () =
-    match Hashtbl.find_opt t.unacked seq with
+let arm_retransmit (t : Node.t) seq =
+  let s = posack t in
+  let rec arm () =
+    ignore
+      (Engine.schedule t.engine ~after:t.cost.retrans_timeout_ns (fun () ->
+           Engine.spawn t.engine tick))
+  and tick () =
+    match Hashtbl.find_opt s.unacked seq with
     | None -> ()
     | Some (missing, (sender, msgid, body)) ->
-        if Hashtbl.length missing = 0 then Hashtbl.remove t.unacked seq
+        if Hashtbl.length missing = 0 then Hashtbl.remove s.unacked seq
         else begin
           Hashtbl.iter
-            (fun idx () -> ucast t ~dst:t.peers.(idx) (Data { seq; sender; msgid; body }))
+            (fun idx () ->
+              Node.ucast t ~dst:t.peers.(idx) (Data { seq; sender; msgid; body }))
             missing;
-          ignore
-            (Engine.schedule t.engine ~after:t.cost.retrans_timeout_ns (fun () ->
-                 Engine.spawn t.engine tick))
+          arm ()
         end
   in
-  ignore
-    (Engine.schedule t.engine ~after:t.cost.retrans_timeout_ns (fun () ->
-         Engine.spawn t.engine tick))
+  arm ()
 
-let accept t ~sender ~msgid ~body =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  charge t t.cost.group_seq_ns;
+let accept (t : Node.t) ~sender ~msgid ~body =
+  let s = posack t in
+  let seq = s.next_seq in
+  s.next_seq <- seq + 1;
+  Node.charge t t.cost.group_seq_ns;
   let missing = Hashtbl.create 8 in
   for i = 0 to t.n - 1 do
     if i <> t.idx then Hashtbl.replace missing i ()
   done;
-  Hashtbl.replace t.unacked seq (missing, (sender, msgid, body));
-  mcast t (Data { seq; sender; msgid; body });
+  Hashtbl.replace s.unacked seq (missing, (sender, msgid, body));
+  Node.mcast t (Data { seq; sender; msgid; body });
   (* local delivery at the sequencer *)
-  Hashtbl.replace t.slots seq (sender, msgid, body);
-  drain t;
+  Node.learn t seq (sender, msgid, body);
   arm_retransmit t seq
 
-let handle t (w : wire) =
-  match w with
+let receive (t : Node.t) = function
   | Req { sender; msgid; body } ->
       if t.idx = 0 then begin
-        charge t t.cost.group_deliver_ns;
+        Node.charge t t.cost.group_deliver_ns;
         accept t ~sender ~msgid ~body
       end
   | Data { seq; sender; msgid; body } ->
-      charge t t.cost.group_deliver_ns;
-      if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then begin
-        Hashtbl.replace t.slots seq (sender, msgid, body);
-        drain t
-      end;
+      Node.charge t t.cost.group_deliver_ns;
+      if seq >= t.nxt && not (Hashtbl.mem t.slots seq) then
+        Node.learn t seq (sender, msgid, body);
       (* The positive acknowledgement the paper's design avoids. *)
-      ucast t ~dst:t.peers.(0) (Pos_ack { seq; from = t.idx })
-  | Pos_ack { seq; from } ->
-      if t.idx = 0 then begin
-        charge t t.cost.group_seq_ns;
-        t.acks_seen <- t.acks_seen + 1;
-        match Hashtbl.find_opt t.unacked seq with
+      Node.ucast t ~dst:t.peers.(0) (Pos_ack { seq; from = t.idx })
+  | Pos_ack { seq; from } -> (
+      if t.idx = 0 then
+        let s = posack t in
+        Node.charge t t.cost.group_seq_ns;
+        s.acks_seen <- s.acks_seen + 1;
+        match Hashtbl.find_opt s.unacked seq with
         | Some (missing, _) ->
             Hashtbl.remove missing from;
-            if Hashtbl.length missing = 0 then Hashtbl.remove t.unacked seq
-        | None -> ()
-      end
+            if Hashtbl.length missing = 0 then Hashtbl.remove s.unacked seq
+        | None -> ())
+  | _ -> ()
 
-let node_loop t () =
-  let rec loop () =
-    (match Channel.recv t.engine t.inbox with
-    | Wire w -> handle t w
-    | Submit { msgid; body } ->
-        if t.idx = 0 then accept t ~sender:0 ~msgid ~body
-        else ucast t ~dst:t.peers.(0) (Req { sender = t.idx; msgid; body }));
-    loop ()
-  in
-  loop ()
+let submit (t : Node.t) { Node.msgid; body; _ } =
+  if t.idx = 0 then accept t ~sender:0 ~msgid ~body
+  else Node.ucast t ~dst:t.peers.(0) (Req { sender = t.idx; msgid; body })
 
-let make_node ~idx ~n ~gaddr flip =
-  let machine = Flip.machine flip in
-  let t =
+let make_group =
+  Node.make_group
     {
-      idx;
-      n;
-      flip;
-      machine;
-      engine = Machine.engine machine;
-      cost = Machine.cost machine;
-      gaddr;
-      kaddr = Flip.fresh_addr flip;
-      peers = [||];
-      inbox = Channel.create ();
-      deliveries = Channel.create ();
-      nxt = 0;
-      slots = Hashtbl.create 32;
-      pending = None;
-      msgid_counter = 0;
-      delivered_count = 0;
-      next_seq = 0;
-      unacked = Hashtbl.create 32;
-      acks_seen = 0;
+      init =
+        (fun () ->
+          Posack { next_seq = 0; unacked = Hashtbl.create 32; acks_seen = 0 });
+      payload =
+        (function Req { body; _ } | Data { body; _ } -> Some body | _ -> None);
+      receive;
+      submit;
+      repaired = Node.learn;
     }
-  in
-  let on_packet p =
-    match p.Packet.body with
-    | Pa w -> Channel.send t.inbox (Wire w)
-    | _ -> ()
-  in
-  Flip.register flip t.kaddr on_packet;
-  Flip.register_group flip gaddr on_packet;
-  Engine.spawn t.engine (node_loop t);
-  t
 
-let make_group flips =
-  match flips with
-  | [] -> []
-  | first :: _ ->
-      let gaddr = Flip.fresh_addr first in
-      let n = List.length flips in
-      let nodes = List.mapi (fun idx flip -> make_node ~idx ~n ~gaddr flip) flips in
-      let peers = Array.of_list (List.map (fun t -> t.kaddr) nodes) in
-      List.iter (fun t -> t.peers <- peers) nodes;
-      nodes
-
-let send t body =
-  t.msgid_counter <- t.msgid_counter + 1;
-  let msgid = t.msgid_counter in
-  let done_ = Ivar.create () in
-  t.pending <- Some (msgid, done_);
-  charge_user t;
-  charge t t.cost.group_send_ns;
-  Channel.send t.inbox (Submit { msgid; body });
-  Ivar.read t.engine done_;
-  charge_user t
-
-let events t = t.deliveries
-let delivered t = t.delivered_count
-let acks_received t = t.acks_seen
+let acks_received t = (posack t).acks_seen

@@ -10,20 +10,8 @@
     Fixed membership, failure-free: this is a benchmark foil, not a
     production protocol. *)
 
-open Amoeba_sim
-open Amoeba_flip
-open Types_baseline
-
-type node
-
-val make_group : Flip.t list -> node list
+val make_group : Amoeba_flip.Flip.t list -> Node.t list
 (** Node 0 hosts the sequencer. *)
 
-val send : node -> bytes -> unit
-
-val events : node -> delivery Channel.t
-
-val delivered : node -> int
-
-val acks_received : node -> int
+val acks_received : Node.t -> int
 (** Positive acknowledgements processed by the sequencer (node 0). *)

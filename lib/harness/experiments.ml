@@ -268,18 +268,6 @@ type proto_instance = {
   pi_count : unit -> int;  (** messages sequenced so far *)
 }
 
-(* A comparison protocol's group over [nodes], every member's
-   deliveries drained as [drain_events] does for Amoeba's. *)
-let baseline cl nodes ~events ~send ~delivered =
-  let arr = Array.of_list nodes in
-  Array.iter
-    (fun nd -> drain cl (fun () -> Channel.recv cl.Cluster.engine (events nd)))
-    arr;
-  {
-    pi_send = (fun i b -> send arr.(i) b);
-    pi_count = (fun () -> delivered arr.(0));
-  }
-
 let instantiate cl ~n proto =
   let flips = Array.to_list (Array.sub cl.Cluster.flips 0 n) in
   match proto with
@@ -292,18 +280,22 @@ let instantiate cl ~n proto =
           pi_send = (fun i b -> ignore (Api.send_to_group arr.(i) b));
           pi_count = (fun () -> Kernel.next_expected (Api.kernel arr.(0)));
         }
-  | Cm_token ->
-      let module B = Amoeba_baselines.Cm in
-      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
-        ~delivered:B.delivered
-  | Pos_ack ->
-      let module B = Amoeba_baselines.Posack in
-      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
-        ~delivered:B.delivered
-  | Migrating ->
-      let module B = Amoeba_baselines.Migrating in
-      baseline cl (B.make_group flips) ~events:B.events ~send:B.send
-        ~delivered:B.delivered
+  | Cm_token | Pos_ack | Migrating ->
+      let open Amoeba_baselines in
+      let make_group =
+        match proto with
+        | Cm_token -> Cm.make_group
+        | Pos_ack -> Posack.make_group
+        | _ -> Migrating.make_group
+      in
+      let arr = Array.of_list (make_group flips) in
+      Array.iter
+        (fun nd -> drain cl (fun () -> Channel.recv cl.Cluster.engine (Node.events nd)))
+        arr;
+      {
+        pi_send = (fun i b -> Node.send arr.(i) b);
+        pi_count = (fun () -> Node.delivered arr.(0));
+      }
 
 let baseline_compare ?(duration_ms = 1_500) ~n proto =
   (* Delay: one sender (member 1), quiet network. *)

@@ -8,31 +8,33 @@ open Amoeba_harness
 
 let body = Bytes.of_string
 
-let collect_stream cl events acc =
+(* The three comparison protocols, all over one node type. *)
+let protocols =
+  [ ("cm", Cm.make_group); ("posack", Posack.make_group); ("migrating", Migrating.make_group) ]
+
+let collect_stream cl node acc =
   Cluster.spawn cl (fun () ->
       let rec loop () =
-        let d = Channel.recv cl.Cluster.engine events in
-        acc := (d.Types_baseline.seq, d.Types_baseline.sender, Bytes.to_string d.Types_baseline.body) :: !acc;
+        let d : Node.delivery = Channel.recv cl.Cluster.engine (Node.events node) in
+        acc := (d.seq, d.sender, Bytes.to_string d.body) :: !acc;
         loop ()
       in
       loop ())
 
 (* Generic conformance scenario shared by all three baselines. *)
-let total_order_scenario (type node) ~make_group
-    ~(send : node -> bytes -> unit) ~(events : node -> Types_baseline.delivery Channel.t)
-    ~n ~each () =
+let total_order_scenario make_group ~n ~each () =
   let cl = Cluster.create ~n () in
   let streams = Array.make n [] in
   let failed = ref None in
   Cluster.spawn cl (fun () ->
-      let nodes : node list = make_group (Array.to_list cl.Cluster.flips) in
+      let nodes = make_group (Array.to_list cl.Cluster.flips) in
       List.iteri
         (fun i node ->
           let acc = ref [] in
-          collect_stream cl (events node) acc;
+          collect_stream cl node acc;
           Cluster.spawn cl (fun () ->
               for k = 1 to each do
-                send node (body (Printf.sprintf "%d.%d" i k))
+                Node.send node (body (Printf.sprintf "%d.%d" i k))
               done);
           Cluster.spawn cl (fun () ->
               Engine.sleep cl.Cluster.engine (Time.sec 60);
@@ -50,18 +52,6 @@ let total_order_scenario (type node) ~make_group
     (fun s -> Alcotest.(check bool) "identical stream" true (s = streams.(0)))
     streams
 
-let test_cm_total_order () =
-  total_order_scenario ~make_group:Cm.make_group ~send:Cm.send ~events:Cm.events
-    ~n:4 ~each:4 ()
-
-let test_posack_total_order () =
-  total_order_scenario ~make_group:Posack.make_group ~send:Posack.send
-    ~events:Posack.events ~n:4 ~each:4 ()
-
-let test_migrating_total_order () =
-  total_order_scenario ~make_group:Migrating.make_group ~send:Migrating.send
-    ~events:Migrating.events ~n:4 ~each:4 ()
-
 let test_cm_interrupt_count () =
   (* Every CM broadcast interrupts all other members twice (data +
      ack); Amoeba-PB interrupts them once.  Paper section 6. *)
@@ -70,7 +60,7 @@ let test_cm_interrupt_count () =
       let nodes = Cm.make_group (Array.to_list cl.Cluster.flips) in
       let sender = List.nth nodes 1 in
       for _ = 1 to 10 do
-        Cm.send sender (body "x")
+        Node.send sender (body "x")
       done);
   Cluster.run ~until:(Time.sec 60) cl;
   (* A non-sender, non-token-site machine sees ~2 interrupts per
@@ -89,7 +79,7 @@ let test_posack_ack_implosion () =
       let nodes = Posack.make_group (Array.to_list cl.Cluster.flips) in
       let sender = List.nth nodes 2 in
       for _ = 1 to 10 do
-        Posack.send sender (body "x")
+        Node.send sender (body "x")
       done;
       Engine.sleep cl.Cluster.engine (Time.sec 5);
       acks := Posack.acks_received (List.hd nodes));
@@ -107,14 +97,14 @@ let test_migrating_token_follows_sender () =
       let nodes = Migrating.make_group (Array.to_list cl.Cluster.flips) in
       let sender = List.nth nodes 2 in
       (* First send fetches the token remotely... *)
-      Migrating.send sender (body "b1");
+      Node.send sender (body "b1");
       Engine.sleep cl.Cluster.engine (Time.ms 5);
       let before = Medium.frames_delivered cl.Cluster.net in
       (* ...the rest of the burst sequences locally: 1 frame each.  A
          local send returns at sequencing time, before its multicast
          clears the wire, so let the frames settle before counting. *)
       for k = 2 to 6 do
-        Migrating.send sender (body (Printf.sprintf "b%d" k))
+        Node.send sender (body (Printf.sprintf "b%d" k))
       done;
       Engine.sleep cl.Cluster.engine (Time.ms 5);
       frames_burst := Medium.frames_delivered cl.Cluster.net - before;
@@ -130,7 +120,7 @@ let test_cm_loss_recovery () =
   Cluster.spawn cl (fun () ->
       let nodes = Cm.make_group (Array.to_list cl.Cluster.flips) in
       let sender = List.nth nodes 1 in
-      Cm.send sender (body "warm");
+      Node.send sender (body "warm");
       Engine.sleep cl.Cluster.engine (Time.ms 100);
       (* Drop one data frame; the retransmission machinery repairs. *)
       let dropped = ref false in
@@ -142,11 +132,32 @@ let test_cm_loss_recovery () =
                  dropped := true;
                  true
              | _ -> false));
-      Cm.send sender (body "lost");
+      Node.send sender (body "lost");
       Engine.sleep cl.Cluster.engine (Time.sec 10);
-      delivered := Cm.delivered (List.nth nodes 2));
+      delivered := Node.delivered (List.nth nodes 2));
   Cluster.run ~until:(Time.sec 120) cl;
   Alcotest.(check int) "both messages delivered at node 2" 2 !delivered
+
+(* Four members each send six messages under the persistent link
+   conditions [net] for 30 simulated seconds.  Returns every member's
+   delivery stream and the cluster. *)
+let fault_run make_group ~net ~seed =
+  let cl = Cluster.create ~seed ~n:4 () in
+  let accs = Array.init 4 (fun _ -> ref []) in
+  Cluster.spawn cl (fun () ->
+      let nodes = make_group (Array.to_list cl.Cluster.flips) in
+      Medium.set_conditions cl.Cluster.net
+        (List.assoc net Medium.condition_profiles);
+      List.iteri
+        (fun i node ->
+          collect_stream cl node accs.(i);
+          Cluster.spawn cl (fun () ->
+              for k = 1 to 6 do
+                Node.send node (body (Printf.sprintf "%d.%d" i k))
+              done))
+        nodes);
+  Cluster.run ~until:(Time.sec 30) cl;
+  (Array.map (fun acc -> List.rev !acc) accs, cl)
 
 let prop_baselines_agree_with_each_other =
   (* All three baselines implement the same abstract service: totally
@@ -155,7 +166,7 @@ let prop_baselines_agree_with_each_other =
   QCheck.Test.make ~name:"baselines deliver exactly what was sent" ~count:8
     QCheck.(pair (int_range 2 5) (int_range 1 4))
     (fun (n, each) ->
-      let run_one make_group send events =
+      let run_one (_, make_group) =
         let cl = Cluster.create ~n () in
         let count = ref 0 in
         Cluster.spawn cl (fun () ->
@@ -163,30 +174,29 @@ let prop_baselines_agree_with_each_other =
             List.iteri
               (fun i node ->
                 let acc = ref [] in
-                collect_stream cl (events node) acc;
+                collect_stream cl node acc;
                 if i = 0 then
                   Cluster.spawn cl (fun () ->
                       Engine.sleep cl.Cluster.engine (Time.sec 60);
                       count := List.length !acc);
                 Cluster.spawn cl (fun () ->
                     for k = 1 to each do
-                      send node (body (Printf.sprintf "%d.%d" i k))
+                      Node.send node (body (Printf.sprintf "%d.%d" i k))
                     done))
               nodes);
         Cluster.run ~until:(Time.sec 120) cl;
         !count = n * each
       in
-      run_one Cm.make_group Cm.send Cm.events
-      && run_one Posack.make_group Posack.send Posack.events
-      && run_one Migrating.make_group Migrating.send Migrating.events)
+      List.for_all run_one protocols)
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "baselines",
-    [
-      tc "cm total order" test_cm_total_order;
-      tc "posack total order" test_posack_total_order;
-      tc "migrating total order" test_migrating_total_order;
+    List.map
+        (fun (name, make_group) ->
+          tc (name ^ " total order") (total_order_scenario make_group ~n:4 ~each:4))
+        protocols
+    @ [
       tc "cm interrupts twice per message" test_cm_interrupt_count;
       tc "posack ack implosion" test_posack_ack_implosion;
       tc "migrating token follows the sender" test_migrating_token_follows_sender;

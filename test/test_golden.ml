@@ -216,52 +216,19 @@ let burst_delay_runs =
 (* A comparison protocol under persistent link conditions: four
    members each send six messages; every member's delivery stream is
    digested with the engine's step count and the frames delivered. *)
-let baseline_fault_run (type node) ~(make_group : _ -> node list)
-    ~(send : node -> bytes -> unit)
-    ~(events : node -> Amoeba_baselines.Types_baseline.delivery Channel.t)
-    ~net ~seed () =
-  let cl = Cluster.create ~seed ~n:4 () in
-  let streams = Array.make 4 [] in
-  Cluster.spawn cl (fun () ->
-      let nodes = make_group (Array.to_list cl.Cluster.flips) in
-      Medium.set_conditions cl.Cluster.net (profile net);
-      List.iteri
-        (fun i node ->
-          Cluster.spawn cl (fun () ->
-              let rec loop () =
-                let d = Channel.recv cl.Cluster.engine (events node) in
-                streams.(i) <-
-                  (d.seq, d.sender, Bytes.to_string d.body) :: streams.(i);
-                loop ()
-              in
-              loop ());
-          Cluster.spawn cl (fun () ->
-              for k = 1 to 6 do
-                send node (Bytes.of_string (Printf.sprintf "%d.%d" i k))
-              done))
-        nodes);
-  Cluster.run ~until:(Time.sec 30) cl;
-  digest
-    ( Array.map List.rev streams,
-      Engine.step_count cl.Cluster.engine,
-      Medium.frames_delivered cl.Cluster.net )
-
 let baseline_fault_runs =
-  let open Amoeba_baselines in
   List.concat_map
     (fun (net, seed) ->
-      let name proto = Printf.sprintf "baseline %s %s seed %d" proto net seed in
-      [
-        ( name "cm",
-          baseline_fault_run ~make_group:Cm.make_group ~send:Cm.send
-            ~events:Cm.events ~net ~seed );
-        ( name "posack",
-          baseline_fault_run ~make_group:Posack.make_group ~send:Posack.send
-            ~events:Posack.events ~net ~seed );
-        ( name "migrating",
-          baseline_fault_run ~make_group:Migrating.make_group
-            ~send:Migrating.send ~events:Migrating.events ~net ~seed );
-      ])
+      List.map
+        (fun (proto, make_group) ->
+          ( Printf.sprintf "baseline %s %s seed %d" proto net seed,
+            fun () ->
+              let streams, cl = Test_baselines.fault_run make_group ~net ~seed in
+              digest
+                ( streams,
+                  Engine.step_count cl.Cluster.engine,
+                  Medium.frames_delivered cl.Cluster.net ) ))
+        Test_baselines.protocols)
     [ ("bursty-light", 3); ("dup", 6) ]
 
 let runs =
