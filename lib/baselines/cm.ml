@@ -15,12 +15,14 @@ type Node.state += Cm of cm
 let cm (t : Node.t) = match t.state with Cm s -> s | _ -> invalid_arg "Cm"
 let rec arm_repair t = Node.arm_repair t (fun () -> arm_repair t)
 
-(* Records an acknowledgement's effect on local state; never blocks. *)
+(* Records an acknowledgement's effect on local state; never blocks.
+   Only a fresh acknowledgement moves the token: a stale or duplicated
+   one would hand it back to a site that already passed it on. *)
 let rec apply_ack_state (t : Node.t) ~seq ~sender ~msgid ~next_token =
   let s = cm t in
+  if seq >= s.next_seq then s.token <- next_token;
   s.next_seq <- max s.next_seq (seq + 1);
   t.max_seen <- max t.max_seen seq;
-  s.token <- next_token;
   if not (Hashtbl.mem s.acked (sender, msgid)) then begin
     Hashtbl.replace s.acked (sender, msgid) seq;
     (match Hashtbl.find_opt s.data_buf (sender, msgid) with
@@ -36,10 +38,13 @@ let rec apply_ack_state (t : Node.t) ~seq ~sender ~msgid ~next_token =
    is committed BEFORE the blocking multicast: the send path and the
    receive path both call this, and a second activation while the
    first is blocked on the wire must see the token already passed on
-   (otherwise two fibers would assign the same sequence number). *)
+   (otherwise two fibers would assign the same sequence number).  A
+   token site that has not delivered up to [next_seq] may have missed
+   an acknowledgement, so its [acked] table cannot tell a retransmitted
+   message from a new one: it waits until the gap is repaired. *)
 and ack_pending (t : Node.t) =
   let s = cm t in
-  if s.token = t.idx then begin
+  if s.token = t.idx && t.nxt >= s.next_seq then begin
     match Queue.take_opt s.unacked with
     | None -> ()
     | Some (sender, msgid) ->
@@ -53,8 +58,9 @@ and ack_pending (t : Node.t) =
         end
   end
 
-(* After a delivery: repair a gap. *)
-and settle t = if Node.gap t then arm_repair t
+(* After a delivery: repair a gap or, with none left, sequence what
+   waited for it. *)
+and settle t = if Node.gap t then arm_repair t else ack_pending t
 
 (* Holds a data message until an acknowledgement sequences it. *)
 let buffer t ~sender ~msgid body =

@@ -8,7 +8,15 @@
     gained by migrating the sequencer may be worth the additional
     complexity"; the ablation bench quantifies that trade-off on
     bursty senders.  Fixed membership, failure-free comparison
-    protocol. *)
+    protocol.
+
+    Loss handling: senders resubmit until delivered (a member that is
+    not the holder forwards a request, up to 8 hops), the holder
+    sequences each message once, and a member nacks a gap once per
+    data message that reveals it.  Liveness gap: members can lose
+    track of the token.  With four members sending six messages each
+    under [reorder], seed 2 delivers 5 of 24: members 0 and 1 each
+    believe the other holds the token. *)
 
 val make_group : Amoeba_flip.Flip.t list -> Node.t list
 (** Node 0 holds the token initially. *)

@@ -10,6 +10,7 @@ type posack = {
   mutable next_seq : int;
   unacked : (int, (int, unit) Hashtbl.t * Node.entry) Hashtbl.t;
       (** seq -> (members yet to ack, entry) *)
+  sequenced : (int * int, unit) Hashtbl.t;  (** (sender, msgid) *)
   mutable acks_seen : int;
 }
 
@@ -40,20 +41,24 @@ let arm_retransmit (t : Node.t) seq =
   in
   arm ()
 
+(* Sequences a request once: the network may duplicate its frame. *)
 let accept (t : Node.t) ~sender ~msgid ~body =
   let s = posack t in
-  let seq = s.next_seq in
-  s.next_seq <- seq + 1;
-  Node.charge t t.cost.group_seq_ns;
-  let missing = Hashtbl.create 8 in
-  for i = 0 to t.n - 1 do
-    if i <> t.idx then Hashtbl.replace missing i ()
-  done;
-  Hashtbl.replace s.unacked seq (missing, (sender, msgid, body));
-  Node.mcast t (Data { seq; sender; msgid; body });
-  (* local delivery at the sequencer *)
-  Node.learn t seq (sender, msgid, body);
-  arm_retransmit t seq
+  if not (Hashtbl.mem s.sequenced (sender, msgid)) then begin
+    Hashtbl.replace s.sequenced (sender, msgid) ();
+    let seq = s.next_seq in
+    s.next_seq <- seq + 1;
+    Node.charge t t.cost.group_seq_ns;
+    let missing = Hashtbl.create 8 in
+    for i = 0 to t.n - 1 do
+      if i <> t.idx then Hashtbl.replace missing i ()
+    done;
+    Hashtbl.replace s.unacked seq (missing, (sender, msgid, body));
+    Node.mcast t (Data { seq; sender; msgid; body });
+    (* local delivery at the sequencer *)
+    Node.learn t seq (sender, msgid, body);
+    arm_retransmit t seq
+  end
 
 let receive (t : Node.t) = function
   | Req { sender; msgid; body } ->
@@ -88,7 +93,13 @@ let make_group =
     {
       init =
         (fun () ->
-          Posack { next_seq = 0; unacked = Hashtbl.create 32; acks_seen = 0 });
+          Posack
+            {
+              next_seq = 0;
+              unacked = Hashtbl.create 32;
+              sequenced = Hashtbl.create 64;
+              acks_seen = 0;
+            });
       payload =
         (function Req { body; _ } | Data { body; _ } -> Some body | _ -> None);
       receive;

@@ -8,7 +8,13 @@
     large group overflow its fixed-size receive ring — the "ack
     implosion" the paper's negative-acknowledgement scheme avoids.
     Fixed membership, failure-free: this is a benchmark foil, not a
-    production protocol. *)
+    production protocol.
+
+    Loss handling: the sequencer re-sends a message to each member
+    whose positive acknowledgement is missing, and sequences a
+    duplicated request once.  Liveness gap: a lost request is never
+    retried; with four members sending six messages each under
+    [bursty-light], seed 3 delivers 18 of 24. *)
 
 val make_group : Amoeba_flip.Flip.t list -> Node.t list
 (** Node 0 hosts the sequencer. *)

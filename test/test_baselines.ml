@@ -159,6 +159,46 @@ let fault_run make_group ~net ~seed =
   Cluster.run ~until:(Time.sec 30) cl;
   (Array.map (fun acc -> List.rev !acc) accs, cl)
 
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a, y :: b -> x = y && is_prefix a b
+
+(* Safety on a lossy, reordering, duplicating network: whatever a
+   protocol manages to deliver, no member delivers a message twice and
+   every two members agree on the order.  Liveness is not checked:
+   each protocol's interface lists the runs that stall. *)
+let test_safe_under_link_faults () =
+  List.iter
+    (fun (proto, make_group) ->
+      List.iter
+        (fun net ->
+          for seed = 1 to 8 do
+            let streams, _ = fault_run make_group ~net ~seed in
+            let run = Printf.sprintf "%s %s seed %d" proto net seed in
+            Array.iteri
+              (fun i s ->
+                let bodies = List.map (fun (_, _, b) -> b) s in
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: node %d delivers each message once" run i)
+                  (List.length bodies)
+                  (List.length (List.sort_uniq compare bodies)))
+              streams;
+            Array.iter
+              (fun a ->
+                Array.iter
+                  (fun b ->
+                    Alcotest.(check bool)
+                      (run ^ ": streams are prefixes of one order")
+                      true
+                      (is_prefix a b || is_prefix b a))
+                  streams)
+              streams
+          done)
+        [ "bursty-light"; "reorder"; "dup" ])
+    protocols
+
 let prop_baselines_agree_with_each_other =
   (* All three baselines implement the same abstract service: totally
      ordered reliable broadcast.  Whatever the protocol, the delivered
@@ -202,4 +242,5 @@ let suite =
       tc "migrating token follows the sender" test_migrating_token_follows_sender;
       tc "cm recovers from loss" test_cm_loss_recovery;
       QCheck_alcotest.to_alcotest prop_baselines_agree_with_each_other;
+      tc "safe under link faults" test_safe_under_link_faults;
     ] )

@@ -279,10 +279,10 @@ let pinned =
     ("baseline compare migrating seq", "34f8401d112d341960ade1f4a754f2b5");
     ("burst delay static", "1f36a4fa9c6fd04d7b7fc87a0ab60208");
     ("burst delay migrating", "4b15f973ad92d0f4946652a1460b6c9c");
-    ("baseline cm bursty-light seed 3", "cfe8d0f892aba54fcc8a01c4257553ee");
+    ("baseline cm bursty-light seed 3", "1dbb094ee9b28bd2dad98d6c71651d42");
     ("baseline posack bursty-light seed 3", "7c84a8db85bc614f3c62ce4a2b90104e");
     ("baseline migrating bursty-light seed 3", "26e851ebf0dd25c9f1597fdcfb0877b8");
-    ("baseline cm dup seed 6", "993dd6c84515157e2ccf1ff8eb5f2cb0");
+    ("baseline cm dup seed 6", "db33d0bd10cecb985f4bf903aa2c36d6");
     ("baseline posack dup seed 6", "0616bc3ea7d3a675670031975a278519");
     ("baseline migrating dup seed 6", "9905f9ddfb744c3c1a79b9cd15cdb944");
   ]
