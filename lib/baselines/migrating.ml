@@ -31,9 +31,8 @@ let sequence (t : Node.t) ~sender ~msgid ~body =
     Node.mcast t (Data { seq; sender; msgid; body; new_holder = sender })
   end
 
-(* Sequences here when holding the token, else sends the request
-   towards the holder we believe in; a request is forwarded at most 8
-   times. *)
+(* Sequences when holding the token, else sends the request on to the
+   believed holder; a request is forwarded at most 8 times. *)
 let route (t : Node.t) ~sender ~msgid ~body ~hops =
   let s = migrating t in
   if s.holder = t.idx then sequence t ~sender ~msgid ~body

@@ -290,7 +290,8 @@ let instantiate cl ~n proto =
       in
       let arr = Array.of_list (make_group flips) in
       Array.iter
-        (fun nd -> drain cl (fun () -> Channel.recv cl.Cluster.engine (Node.events nd)))
+        (fun nd ->
+          drain cl (fun () -> Channel.recv cl.Cluster.engine (Node.events nd)))
         arr;
       {
         pi_send = (fun i b -> Node.send arr.(i) b);

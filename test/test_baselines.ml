@@ -10,7 +10,11 @@ let body = Bytes.of_string
 
 (* The three comparison protocols, all over one node type. *)
 let protocols =
-  [ ("cm", Cm.make_group); ("posack", Posack.make_group); ("migrating", Migrating.make_group) ]
+  [
+    ("cm", Cm.make_group);
+    ("posack", Posack.make_group);
+    ("migrating", Migrating.make_group);
+  ]
 
 let collect_stream cl node acc =
   Cluster.spawn cl (fun () ->

@@ -198,8 +198,8 @@ let service_power_cycle_run =
           Amoeba_grouplib.Stable_store.counters
             (Option.get tb.Testbed.durable).Service.d_store ) )
 
-(* The section 6 comparison as `bench ablation_cm` and
-   `ablation_migrate` print it. *)
+(* The figures `bench ablation_cm` (the section 6 comparison) and
+   `bench ablation_migrate` (the section 5 burst delays) print. *)
 let baseline_compare_runs =
   List.map
     (fun proto ->
