@@ -198,6 +198,82 @@ let service_power_cycle_run =
           Amoeba_grouplib.Stable_store.counters
             (Option.get tb.Testbed.durable).Service.d_store ) )
 
+(* A closed-loop service run through [Testbed] with one replica host
+   crashed at 1 s: the trial, every router's counters, the service's
+   read/write counters and the per-shard verdicts. *)
+let service_crash_run name config ~victim ~mix ~load =
+  ( name,
+    fun () ->
+      let open Amoeba_service in
+      let tb = Testbed.create config in
+      let cl = tb.Testbed.cluster in
+      let eng = cl.Cluster.engine in
+      let victim = victim tb.Testbed.map in
+      let result = ref None in
+      Cluster.spawn cl (fun () ->
+          let live = Testbed.deploy tb in
+          Cluster.spawn cl (fun () ->
+              Engine.sleep eng (Time.sec 1);
+              Machine.crash (Cluster.machine cl victim));
+          let routers = live.Testbed.routers in
+          let trial =
+            Driver.drive cl ~map:tb.Testbed.map ~routers
+              {
+                Driver.default with
+                Driver.mix;
+                keys = 200;
+                duration = Time.sec 2;
+                warmup = Time.ms 200;
+                seed = config.Testbed.seed;
+              }
+              load
+          in
+          let svc = live.Testbed.deployed in
+          result :=
+            Some
+              ( trial,
+                List.map Router.stats routers,
+                (Service.reads svc, Service.writes_ok svc, Service.writes_busy svc),
+                Testbed.verdicts svc ~crashed:[ victim ] ));
+      Cluster.run ~until:(Time.sec 60) cl;
+      digest !result )
+
+let service_crash_runs =
+  let open Amoeba_service in
+  [
+    service_crash_run "service batch crash-sequencer ether b16 d4"
+      {
+        Testbed.default with
+        Testbed.shards = 2;
+        hosts = 6;
+        routers = 2;
+        resilience = 1;
+        max_batch = 16;
+        pipeline_depth = 4;
+        record = true;
+        seed = 13;
+      }
+      ~victim:(fun map -> Shard_map.sequencer_host map 0)
+      ~mix:(Mix.with_txn Mix.ycsb_a ~size_hint:3 0.1)
+      ~load:(Driver.Closed 64);
+    service_crash_run "service switch stale-reads crash-follower b1"
+      {
+        Testbed.default with
+        Testbed.shards = 2;
+        hosts = 6;
+        routers = 2;
+        resilience = 1;
+        fabric = Medium.Switched Switch.flat;
+        disk = Some Cost_model.ssd;
+        stale_reads = true;
+        record = true;
+        seed = 19;
+      }
+      ~victim:(fun map -> List.nth (Shard_map.replica_hosts map 0) 1)
+      ~mix:(Mix.read_update ~read:0.5 Keygen.Uniform)
+      ~load:(Driver.Closed 8);
+  ]
+
 (* The figures `bench ablation_cm` (the section 6 comparison) and
    `bench ablation_migrate` (the section 5 burst delays) print. *)
 let baseline_compare_runs =
@@ -240,7 +316,7 @@ let runs =
       migration_chaos_run;
       service_power_cycle_run;
     ]
-  @ baseline_compare_runs @ burst_delay_runs @ baseline_fault_runs
+  @ service_crash_runs @ baseline_compare_runs @ burst_delay_runs @ baseline_fault_runs
 
 (* Digests pinned from the runs above; a run missing here fails as
    unpinned. *)
@@ -272,6 +348,8 @@ let pinned =
     ("closed loop ether 2 shards", "e33a546351046562fd9eb715fc476533");
     ("migration chaos seed 1", "aa7d2fc0aea506ac60b8c9f495bd5b24");
     ("service power cycle ether 2 shards ssd", "47a6a54a12c4dc0f9c8a9e3650da98bb");
+    ("service batch crash-sequencer ether b16 d4", "edeb40f3623fc1e7c0e278dc4d607737");
+    ("service switch stale-reads crash-follower b1", "f1247f5d49d7728ee7b6392f7d9d89be");
     ("baseline compare Amoeba PB", "389e605376eb4e81185d88de6eb5fc8d");
     ("baseline compare Amoeba BB", "cdb1883221b92c33b280ad4d8b81ec38");
     ("baseline compare Chang-Maxemchuk", "d7caad386bc4c774bef5039ecb0b6ec4");
