@@ -46,7 +46,6 @@ type t = {
   map : Shard_map.t;
   shards : shard_state array;
   det : Failure_detector.t;
-  timeout : Time.t;
   attempts : int;
   max_batch : int;
   batch_delay : Time.t;
@@ -118,18 +117,35 @@ let suspect_host ss host =
     (fun j ep -> if ep.Service.ep_host = host then ss.suspect.(j) <- true)
     ss.eps
 
-let perform t client ss req =
-  let payload = Kv.encode_request req in
-  let rec go attempt =
-    if attempt > t.attempts then Failed "attempts exhausted"
-    else begin
-      if attempt > 1 then t.s_retries <- t.s_retries + 1;
+(* Each RPC attempt's bound. *)
+let rpc_timeout = Time.ms 250
+
+(* Ships [items] to shard [ss] as one RPC — in the lone-op frame, or
+   with [batch] in the batch frame — and fills every op's ivar.
+   Definitive per-op replies fan back to their waiters; a [Wrong_shard]
+   reply fails its op (the map is static, so re-hashing the key would
+   pick the very shard that refused it); [Busy] ops and transport
+   failures retry the remaining ops {e whole} — every write in them
+   carries a fresh service-wide uid, so a replay is a distinct stream
+   body and the no-duplicates invariant is untouched. *)
+let rec perform t client ss ~batch items attempt =
+  match items with
+  | [] -> ()
+  | _ when attempt > t.attempts ->
+      List.iter
+        (fun (_, iv) -> ignore (Ivar.try_fill iv (Failed "attempts exhausted")))
+        items
+  | _ -> (
+      if attempt > 1 then begin
+        t.s_retries <- t.s_retries + 1;
+        if batch then t.s_batch_retries <- t.s_batch_retries + 1
+      end;
       match pick ss with
       | None ->
           (* Mid-recovery: no endpoints installed yet.  Back off like
              a [Busy] reply until [update_endpoints] lands. *)
           backoff t 25 attempt;
-          go (attempt + 1)
+          perform t client ss ~batch items (attempt + 1)
       | Some i -> (
           (* Snapshot the arrays [i] indexes before the blocking call:
              a power-cycle recovery may run [update_endpoints] while
@@ -139,29 +155,43 @@ let perform t client ss req =
              fresh state. *)
           let eps = ss.eps and suspect = ss.suspect in
           let ep = eps.(i) in
+          let payload =
+            if batch then Kv.encode_batch_request (List.map fst items)
+            else Kv.encode_request (fst (List.hd items))
+          in
           match
-            Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout
+            Rpc.call client ~dst:ep.Service.ep_addr ~timeout:rpc_timeout
               ~retries:1 payload
           with
           | Ok bytes -> (
               suspect.(i) <- false;
-              match Kv.decode_reply bytes with
-              | Some (Kv.Value v) -> Value v
-              | Some Kv.Not_found -> Not_found
-              | Some Kv.Written -> Written
-              | Some (Kv.Wrong_shard _) ->
-                  (* Static map: can only happen on a stale/buggy peer.
-                     Re-enqueue on the shard the key really hashes to. *)
-                  t.s_redirects <- t.s_redirects + 1;
-                  let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-                  let iv = Ivar.create () in
-                  Channel.send t.shards.(s).queue (req, iv);
-                  Ivar.read t.engine iv
-              | Some (Kv.Busy _) ->
-                  (* The shard is recovering; give it a moment. *)
-                  backoff t 25 attempt;
-                  go (attempt + 1)
-              | None -> go (attempt + 1))
+              let replies =
+                if batch then Kv.decode_batch_reply bytes
+                else Option.map (fun rep -> [ rep ]) (Kv.decode_reply bytes)
+              in
+              match replies with
+              | Some replies when List.length replies = List.length items -> (
+                  let busy = ref [] in
+                  List.iter2
+                    (fun ((_, iv) as item) rep ->
+                      match rep with
+                      | Kv.Value v -> ignore (Ivar.try_fill iv (Value v))
+                      | Kv.Not_found -> ignore (Ivar.try_fill iv Not_found)
+                      | Kv.Written -> ignore (Ivar.try_fill iv Written)
+                      | Kv.Wrong_shard s ->
+                          t.s_redirects <- t.s_redirects + 1;
+                          ignore
+                            (Ivar.try_fill iv
+                               (Failed (Printf.sprintf "wrong shard %d" s)))
+                      | Kv.Busy _ -> busy := item :: !busy)
+                    items replies;
+                  match List.rev !busy with
+                  | [] -> ()
+                  | leftover ->
+                      (* The shard is recovering; give it a moment. *)
+                      backoff t 25 attempt;
+                      perform t client ss ~batch leftover (attempt + 1))
+              | Some _ | None -> perform t client ss ~batch items (attempt + 1))
           | Error `No_route ->
               (* FLIP could not locate the endpoint.  A dead host looks
                  like this, but so does a congested wire eating the locate
@@ -170,7 +200,7 @@ let perform t client ss req =
               t.s_failovers <- t.s_failovers + 1;
               suspect_host ss ep.Service.ep_host;
               backoff t 5 attempt;
-              go (attempt + 1)
+              perform t client ss ~batch items (attempt + 1)
           | Error `Timeout ->
               (* Slow or dead?  Ask the failure detector, like the group
                  kernel would.  Alive means congested — the request is
@@ -178,98 +208,14 @@ let perform t client ss req =
                  immediate resend doubles its load exactly when it is
                  drowning.  Back off before retrying; only a dead
                  verdict fails over at once. *)
-              if Failure_detector.probe t.det ep.Service.ep_probe then begin
-                backoff t 25 attempt;
-                go (attempt + 1)
-              end
+              if Failure_detector.probe t.det ep.Service.ep_probe then
+                backoff t 25 attempt
               else begin
                 t.s_probes_dead <- t.s_probes_dead + 1;
                 t.s_failovers <- t.s_failovers + 1;
-                suspect_host ss ep.Service.ep_host;
-                go (attempt + 1)
-              end)
-    end
-  in
-  go 1
-
-(* One RPC carrying a whole batch of ops for this shard.  Definitive
-   per-op replies fan back to their waiters; [Wrong_shard] ops re-hash
-   and re-enqueue on the right shard; [Busy] ops and transport failures
-   retry the remaining batch {e whole} — every write in it carries a
-   fresh service-wide uid, so a replayed batch is a distinct stream
-   body and the no-duplicates invariant is untouched. *)
-let rec perform_batch t client ss items attempt =
-  match items with
-  | [] -> ()
-  | _ when attempt > t.attempts ->
-      List.iter
-        (fun (_, iv) -> ignore (Ivar.try_fill iv (Failed "attempts exhausted")))
-        items
-  | _ ->
-      if attempt > 1 then begin
-        t.s_retries <- t.s_retries + 1;
-        t.s_batch_retries <- t.s_batch_retries + 1
-      end;
-      let payload = Kv.encode_batch_request (List.map fst items) in
-      match pick ss with
-      | None ->
-          (* Mid-recovery: no endpoints yet; see [perform]. *)
-          backoff t 25 attempt;
-          perform_batch t client ss items (attempt + 1)
-      | Some i -> (
-      (* Same snapshot rule as [perform]: [update_endpoints] may swap
-         the arrays while the batch RPC is in flight. *)
-      let eps = ss.eps and suspect = ss.suspect in
-      let ep = eps.(i) in
-      match
-        Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout ~retries:1
-          payload
-      with
-      | Ok bytes -> (
-          suspect.(i) <- false;
-          match Kv.decode_batch_reply bytes with
-          | Some replies when List.length replies = List.length items ->
-              let busy = ref [] in
-              List.iter2
-                (fun ((req, iv) as item) rep ->
-                  match rep with
-                  | Kv.Value v -> ignore (Ivar.try_fill iv (Value v))
-                  | Kv.Not_found -> ignore (Ivar.try_fill iv Not_found)
-                  | Kv.Written -> ignore (Ivar.try_fill iv Written)
-                  | Kv.Wrong_shard _ ->
-                      t.s_redirects <- t.s_redirects + 1;
-                      let s =
-                        Shard_map.shard_of_key t.map (Kv.request_key req)
-                      in
-                      Channel.send t.shards.(s).queue (req, iv)
-                  | Kv.Busy _ -> busy := item :: !busy)
-                items replies;
-              (match List.rev !busy with
-              | [] -> ()
-              | leftover ->
-                  (* The shard is recovering; give it a moment. *)
-                  backoff t 25 attempt;
-                  perform_batch t client ss leftover (attempt + 1))
-          | Some _ | None -> perform_batch t client ss items (attempt + 1))
-      | Error `No_route ->
-          t.s_failovers <- t.s_failovers + 1;
-          suspect_host ss ep.Service.ep_host;
-          backoff t 5 attempt;
-          perform_batch t client ss items (attempt + 1)
-      | Error `Timeout ->
-          (* Same congestion rule as [perform]: alive-but-slow backs
-             off instead of re-shipping the whole batch into the
-             replica's backlog. *)
-          if Failure_detector.probe t.det ep.Service.ep_probe then begin
-            backoff t 25 attempt;
-            perform_batch t client ss items (attempt + 1)
-          end
-          else begin
-            t.s_probes_dead <- t.s_probes_dead + 1;
-            t.s_failovers <- t.s_failovers + 1;
-            suspect_host ss ep.Service.ep_host;
-            perform_batch t client ss items (attempt + 1)
-          end)
+                suspect_host ss ep.Service.ep_host
+              end;
+              perform t client ss ~batch items (attempt + 1)))
 
 (* Nagle-style accumulation: having taken one op, keep the pipeline
    open until the batch fills or [batch_delay] expires — whichever
@@ -303,11 +249,9 @@ let gather t ss first =
 let worker t flip ss () =
   let client = Rpc.client flip in
   let rec loop () =
-    (if t.max_batch <= 1 then begin
-       (* the exact pre-batching path: no timer, no batch framing *)
-       let req, iv = Channel.recv t.engine ss.queue in
-       ignore (Ivar.try_fill iv (perform t client ss req))
-     end
+    (if t.max_batch <= 1 then
+       (* the exact pre-batching path: no turn token, no timer *)
+       perform t client ss ~batch:false [ Channel.recv t.engine ss.queue ] 1
      else begin
        Channel.recv t.engine ss.turn;
        let first = Channel.recv t.engine ss.queue in
@@ -316,22 +260,20 @@ let worker t flip ss () =
           (long) RPC, so accumulation never stops *)
        Channel.send ss.turn ();
        if timed_out then t.s_partial_flushes <- t.s_partial_flushes + 1;
-       match items with
-       | [ (req, iv) ] ->
-           (* a lone op keeps the single-op wire frame *)
-           ignore (Ivar.try_fill iv (perform t client ss req))
-       | items ->
-           t.s_batches_sent <- t.s_batches_sent + 1;
-           t.s_ops_batched <- t.s_ops_batched + List.length items;
-           perform_batch t client ss items 1
+       (* a lone gathered op keeps the lone-op wire frame *)
+       let batch = match items with [ _ ] -> false | _ -> true in
+       if batch then begin
+         t.s_batches_sent <- t.s_batches_sent + 1;
+         t.s_ops_batched <- t.s_ops_batched + List.length items
+       end;
+       perform t client ss ~batch items 1
      end);
     loop ()
   in
   loop ()
 
 let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
-    ?(timeout = Time.ms 250) ?(attempts = 12) ?(stale_reads = false) ~map
-    ~endpoints () =
+    ?(attempts = 12) ?(stale_reads = false) ~map ~endpoints () =
   let pipeline =
     Option.value pipeline ~default:(if max_batch > 1 then 1 else 4)
   in
@@ -359,7 +301,6 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
             })
           endpoints;
       det = Failure_detector.create flip;
-      timeout;
       attempts;
       max_batch = max 1 max_batch;
       batch_delay;
@@ -446,7 +387,7 @@ let txn t ops =
                 c
           in
           let items = List.map (fun r -> (r, Ivar.create ())) reqs in
-          perform_batch t client t.shards.(s0) items 1;
+          perform t client t.shards.(s0) ~batch:true items 1;
           Ok (List.map (fun (_, iv) -> Ivar.read t.engine iv) items))
 
 (* Swap in a fresh endpoint map — the recovery or migration handoff.

@@ -14,7 +14,12 @@
     replica's failure detector — a {e slow} replica is retried, a
     {e dead} one is marked suspect and the request fails over to the
     next replica.  [Busy] replies (a shard mid-recovery) back off and
-    retry; [Wrong_shard] redirects re-hash onto the right shard. *)
+    retry.  The shard map is static, so a [Wrong_shard] reply (a stale
+    or misconfigured peer) fails its op: re-hashing the key would pick
+    the very shard that refused it.
+
+    One retry ladder serves both wire frames: a lone op travels in the
+    single-op frame, a batch or a transaction in the batch frame. *)
 
 open Amoeba_sim
 open Amoeba_flip
@@ -26,7 +31,6 @@ val create :
   ?pipeline:int ->
   ?max_batch:int ->
   ?batch_delay:Time.t ->
-  ?timeout:Time.t ->
   ?attempts:int ->
   ?stale_reads:bool ->
   map:Shard_map.t ->
@@ -36,11 +40,11 @@ val create :
 (** [pipeline] is the number of concurrent workers per shard: by
     default 4, or 1 when [max_batch] > 1 (one accumulate-and-ship
     worker per shard forms the largest batches and keeps replica
-    endpoints uncontended); [timeout] (default 250 ms) bounds each RPC
-    attempt; [attempts] (default 12) bounds retries/failovers per
-    request; a dead-host verdict suspects every endpoint on that
-    machine at once, so one failover spends one attempt however many
-    endpoints the victim served.
+    endpoints uncontended); each RPC attempt times out after 250 ms;
+    [attempts] (default 12) bounds retries/failovers per request; a
+    dead-host verdict suspects every endpoint on that machine at once,
+    so one failover spends one attempt however many endpoints the
+    victim served.
 
     [stale_reads] (default false) makes every {!get} a bounded-
     staleness read ([Kv.Stale_get]): the replica answers from its last
@@ -53,8 +57,9 @@ val create :
     an op off its shard's pipeline keeps accumulating until it holds
     [max_batch] ops or [batch_delay] (default 500 µs, Nagle-style) has
     passed since the first — whichever fires first — and ships the lot
-    as one RPC, which the replica submits as one sequencer round.  At
-    the default 1 the request path is exactly the unbatched one.  A
+    as one RPC in the batch frame, which the replica submits as one
+    sequencer round; an op gathered alone keeps the single-op frame.
+    At the default 1 every op travels alone, with no gathering.  A
     failed or timed-out batch is retried whole; the fresh uid every
     write carries makes the replay safe (idempotent under the
     checker's no-duplicates invariant). *)
@@ -63,7 +68,8 @@ type reply =
   | Value of string
   | Not_found
   | Written
-  | Failed of string  (** all attempts exhausted *)
+  | Failed of string
+      (** all attempts exhausted, or a [Wrong_shard] reply *)
 
 val get : t -> string -> reply
 
@@ -90,7 +96,7 @@ type stats = {
   ops : int;  (** operations accepted *)
   retries : int;  (** extra attempts on a live replica *)
   failovers : int;  (** switched replica after a suspected death *)
-  redirects : int;  (** [Wrong_shard] replies followed *)
+  redirects : int;  (** [Wrong_shard] replies (each fails its op) *)
   probes_dead : int;  (** failure-detector verdicts of "dead" *)
   batches_sent : int;  (** multi-op RPCs shipped *)
   ops_batched : int;  (** total ops across those batches *)

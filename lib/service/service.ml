@@ -55,11 +55,9 @@ type shard_recovery = {
    original deployment did. *)
 type params = {
   p_resilience : int;
-  p_send_method : T.send_method;
   p_pipeline : int;
   p_durable : durable_config option;
   p_record : bool;
-  p_eps : int;
 }
 
 type replica = {
@@ -112,26 +110,11 @@ let recovery_report t = t.recovery
 let shard_ops t = Array.copy t.shard_ops
 let migrations t = List.rev t.migrations
 
-let submit_write t r u =
-  match R.submit r.r_rsm u with
-  | Ok _ ->
-      t.n_writes_ok <- t.n_writes_ok + 1;
-      if t.params.p_record then begin
-        let mid = (Api.get_info_group (R.group r.r_rsm)).Api.my_mid in
-        t.completed_w.(r.r_shard) :=
-          (mid, Bytes.to_string (R.wire_of_update u))
-          :: !(t.completed_w.(r.r_shard))
-      end;
-      Kv.Written
-  | Error e ->
-      t.n_writes_busy <- t.n_writes_busy + 1;
-      Kv.Busy (T.error_to_string e)
-
-(* Submits a vector of updates as one sequencer round (one 'B' frame on
-   the group stream; a single update falls back to the plain 'U' path).
-   Returns the per-update reply.  The checker's durability log gets the
-   exact on-stream bytes, which depend on that fallback. *)
-let submit_write_batch t r us =
+(* Submits a request's writes as one sequencer round (one 'B' frame on
+   the group stream; a single update goes as a plain 'U' frame).
+   Returns the reply every one of them gets.  The checker's durability
+   log gets the exact on-stream bytes, which depend on that split. *)
+let submit_writes t r us =
   let n = List.length us in
   match R.submit_batch r.r_rsm us with
   | Ok _ ->
@@ -151,107 +134,85 @@ let submit_write_batch t r us =
       t.n_writes_busy <- t.n_writes_busy + n;
       Kv.Busy (T.error_to_string e)
 
-let handle_one t r req =
-  let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-  if s <> r.r_shard then Kv.Wrong_shard s
-  else (
+let read t r req =
+  t.n_reads <- t.n_reads + 1;
+  let state =
     match req with
-    | Kv.Get k ->
-        t.n_reads <- t.n_reads + 1;
-        (match Kv.Smap.find_opt k (R.state r.r_rsm) with
-        | Some v -> Kv.Value v
-        | None -> Kv.Not_found)
-    | Kv.Stale_get k ->
+    | Kv.Stale_get _ -> (
         (* Bounded-staleness read: answered from the last durable
            checkpoint when there is one — the state a power loss could
            never take away — without touching the ordered stream.  A
            replica with no checkpoint yet falls back to its live
            copy. *)
-        t.n_reads <- t.n_reads + 1;
-        let state =
-          match R.durable_snapshot r.r_rsm with
-          | Some (st, _) -> st
-          | None -> R.state r.r_rsm
-        in
-        (match Kv.Smap.find_opt k state with
-        | Some v -> Kv.Value v
-        | None -> Kv.Not_found)
-    | Kv.Put (k, v) ->
-        incr t.uid;
-        submit_write t r (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
-    | Kv.Del k ->
-        incr t.uid;
-        submit_write t r (Kv.Store.Del { uid = !(t.uid); key = k }))
+        match R.durable_snapshot r.r_rsm with
+        | Some (st, _) -> st
+        | None -> R.state r.r_rsm)
+    | _ -> R.state r.r_rsm
+  in
+  match Kv.Smap.find_opt (Kv.request_key req) state with
+  | Some v -> Kv.Value v
+  | None -> Kv.Not_found
 
-(* A batch: every op is shard-checked individually, all the writes ride
-   one totally-ordered group round (fresh uids keep a retried batch
-   distinct on the stream), and reads are answered from the local copy
-   after the batch's writes applied — so a batch reads its own writes.
-   Replies are fanned back positionally, one per request. *)
-let handle_batch t r reqs =
-  let n = List.length reqs in
-  let replies = Array.make n Kv.Not_found in
-  let writes = ref [] in
-  (* newest first: (position, update) *)
-  List.iteri
-    (fun i req ->
-      let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-      if s <> r.r_shard then replies.(i) <- Kv.Wrong_shard s
+(* One request, in either wire frame: every op is shard-checked
+   individually, all the writes ride one totally-ordered group round
+   (fresh uids keep a retried request distinct on the stream), and
+   reads are answered from the local copy after the request's writes
+   applied — so a batch reads its own writes.  Replies come back
+   positionally, one per op. *)
+let serve t r reqs =
+  let owner req = Shard_map.shard_of_key t.map (Kv.request_key req) in
+  let writes =
+    List.filter_map
+      (fun req ->
+        if owner req <> r.r_shard then None
+        else
+          match req with
+          | Kv.Get _ | Kv.Stale_get _ -> None
+          | Kv.Put (k, v) ->
+              incr t.uid;
+              Some (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
+          | Kv.Del k ->
+              incr t.uid;
+              Some (Kv.Store.Del { uid = !(t.uid); key = k }))
+      reqs
+  in
+  let written = if writes = [] then Kv.Written else submit_writes t r writes in
+  List.map
+    (fun req ->
+      let s = owner req in
+      if s <> r.r_shard then Kv.Wrong_shard s
       else
         match req with
-        | Kv.Get _ | Kv.Stale_get _ -> ()
-        | Kv.Put (k, v) ->
-            incr t.uid;
-            writes :=
-              (i, Kv.Store.Put { uid = !(t.uid); key = k; value = v })
-              :: !writes
-        | Kv.Del k ->
-            incr t.uid;
-            writes := (i, Kv.Store.Del { uid = !(t.uid); key = k }) :: !writes)
-    reqs;
-  (match List.rev !writes with
-  | [] -> ()
-  | ws ->
-      let verdict = submit_write_batch t r (List.map snd ws) in
-      List.iter (fun (i, _) -> replies.(i) <- verdict) ws);
-  List.iteri
-    (fun i req ->
-      (* wrong-shard Gets already hold their Wrong_shard reply *)
-      match (req, replies.(i)) with
-      | (Kv.Get _ | Kv.Stale_get _), Kv.Not_found ->
-          replies.(i) <- handle_one t r req
-      | _ -> ())
-    reqs;
-  Array.to_list replies
+        | Kv.Put _ | Kv.Del _ -> written
+        | Kv.Get _ | Kv.Stale_get _ -> read t r req)
+    reqs
 
-(* A retired replica (its shard was migrated away) answers [Busy] to
-   everything: the router backs off, and once the endpoint swap lands
-   its retry goes to the shard's new owners.  The uid-tagged retry
-   discipline makes the dual-routing window safe — a write the old
-   owner did sequence before retiring is acknowledged through the old
-   stream, one it refused is re-submitted fresh to the new. *)
+(* Decodes either frame — a lone op or a batch ('B') — and answers in
+   the frame the request came in.  A retired replica (its shard was
+   migrated away) answers [Busy] to everything: the router backs off,
+   and once the endpoint swap lands its retry goes to the shard's new
+   owners.  The uid-tagged retry discipline makes the dual-routing
+   window safe — a write the old owner did sequence before retiring is
+   acknowledged through the old stream, one it refused is re-submitted
+   fresh to the new. *)
 let handle t r payload =
-  if Bytes.length payload > 0 && Bytes.get payload 0 = 'B' then
-    let reply =
-      match Kv.decode_batch_request payload with
-      | None -> Kv.encode_reply (Kv.Busy "bad-request")
-      | Some reqs when r.r_retired ->
-          Kv.encode_batch_reply (List.map (fun _ -> Kv.Busy "retired") reqs)
-      | Some reqs ->
-          t.shard_ops.(r.r_shard) <- t.shard_ops.(r.r_shard) + List.length reqs;
-          Kv.encode_batch_reply (handle_batch t r reqs)
-    in
-    Amoeba_rpc.Types_rpc.Reply reply
-  else
-    let reply =
-      match Kv.decode_request payload with
-      | None -> Kv.Busy "bad-request"
-      | Some _ when r.r_retired -> Kv.Busy "retired"
-      | Some req ->
-          t.shard_ops.(r.r_shard) <- t.shard_ops.(r.r_shard) + 1;
-          handle_one t r req
-    in
-    Amoeba_rpc.Types_rpc.Reply (Kv.encode_reply reply)
+  let batch = Bytes.length payload > 0 && Bytes.get payload 0 = 'B' in
+  let reqs =
+    if batch then Kv.decode_batch_request payload
+    else Option.map (fun req -> [ req ]) (Kv.decode_request payload)
+  in
+  let encode replies =
+    if batch then Kv.encode_batch_reply replies
+    else Kv.encode_reply (List.hd replies)
+  in
+  Amoeba_rpc.Types_rpc.Reply
+    (match reqs with
+    | None -> Kv.encode_reply (Kv.Busy "bad-request")
+    | Some reqs when r.r_retired ->
+        encode (List.map (fun _ -> Kv.Busy "retired") reqs)
+    | Some reqs ->
+        t.shard_ops.(r.r_shard) <- t.shard_ops.(r.r_shard) + List.length reqs;
+        encode (serve t r reqs))
 
 (* One failure-detector responder per machine, shared by all the
    replicas it hosts; created lazily, inside the machine's lifecycle
@@ -269,11 +230,14 @@ let probe_addr t host =
       Hashtbl.add t.detectors host a;
       a
 
+(* The RPC endpoint pool each replica serves. *)
+let eps_per_replica = 4
+
 (* Brings one replica up on [host]: create or join the shard's group,
-   then serve the request protocol at [p_eps] fresh endpoints.  RPC
-   endpoints service one request at a time, and a write holds its
-   endpoint for the whole submit round-trip — so a single endpoint
-   would cap the replica near 1/latency ops/s.  A small pool of
+   then serve the request protocol at [eps_per_replica] fresh
+   endpoints.  RPC endpoints service one request at a time, and a
+   write holds its endpoint for the whole submit round-trip — so a
+   single endpoint would cap the replica near 1/latency ops/s.  A small pool of
    endpoints over the same replica is the classic server worker pool,
    and the kernel inbox serialises the concurrent submits.  All of it
    runs on the host machine, so a crash takes the replica and its
@@ -297,13 +261,11 @@ let start_replica t ~shard ~host ~creator ~seed =
         match creator with
         | None ->
             Ok
-              (R.create flip ~resilience:p.p_resilience
-                 ~send_method:p.p_send_method ~auto_heal:true
+              (R.create flip ~resilience:p.p_resilience ~auto_heal:true
                  ~pipeline:p.p_pipeline ?durable:durable_arg ?seed ?tap ())
         | Some addr ->
-            R.join flip ~resilience:p.p_resilience ~send_method:p.p_send_method
-              ~auto_heal:true ~pipeline:p.p_pipeline ?durable:durable_arg ?tap
-              addr
+            R.join flip ~resilience:p.p_resilience ~auto_heal:true
+              ~pipeline:p.p_pipeline ?durable:durable_arg ?tap addr
       in
       match rsm with
       | Error e -> ignore (Ivar.try_fill iv (Error (T.error_to_string e)))
@@ -323,7 +285,7 @@ let start_replica t ~shard ~host ~creator ~seed =
           in
           let probe = probe_addr t host in
           let eps =
-            List.init p.p_eps (fun _ ->
+            List.init eps_per_replica (fun _ ->
                 let addr = Flip.fresh_addr flip in
                 let (_ : Rpc.server) = Rpc.serve flip ~addr (handle t r) in
                 {
@@ -341,9 +303,8 @@ let start_replica t ~shard ~host ~creator ~seed =
    the intended creator FIRST, and [seed_for shard] optionally seeds
    the creator's replica (the recovery path).  [deploy] and [recover]
    are thin wrappers. *)
-let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
-    ?durable ?(record = false) ?(eps_per_replica = 4) ~hosts_for
-    ~seed_for () =
+let build cl ~map ?(resilience = 1) ?(pipeline = 1) ?durable
+    ?(record = false) ~hosts_for ~seed_for () =
   let eng = cl.Cluster.engine in
   let shards = Shard_map.shards map in
   let t =
@@ -352,11 +313,9 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
       params =
         {
           p_resilience = resilience;
-          p_send_method = send_method;
           p_pipeline = pipeline;
           p_durable = durable;
           p_record = record;
-          p_eps = eps_per_replica;
         };
       detectors = Hashtbl.create 8;
       map;
@@ -403,10 +362,8 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
             Array.of_list (eps0 @ rest));
   t
 
-let deploy cl ~map ?resilience ?send_method ?pipeline ?durable ?record
-    ?eps_per_replica () =
-  build cl ~map ?resilience ?send_method ?pipeline ?durable ?record
-    ?eps_per_replica
+let deploy cl ~map ?resilience ?pipeline ?durable ?record () =
+  build cl ~map ?resilience ?pipeline ?durable ?record
     ~hosts_for:(fun shard -> Shard_map.replica_hosts map shard)
     ~seed_for:(fun _ -> None)
     ()
@@ -425,8 +382,7 @@ let deploy cl ~map ?resilience ?send_method ?pipeline ?durable ?record
    recovered the most updates wins, everyone else reconciles to it, so
    the shard restarts with exactly one owner whatever instant the
    power died at. *)
-let recover cl ~map ~durable ?resilience ?send_method ?pipeline ?record
-    ?eps_per_replica ?hosts_for () =
+let recover cl ~map ~durable ?resilience ?pipeline ?record ?hosts_for () =
   let eng = cl.Cluster.engine in
   let shards = Shard_map.shards map in
   let hosts_for =
@@ -492,8 +448,7 @@ let recover cl ~map ~durable ?resilience ?send_method ?pipeline ?record
         })
   in
   let t =
-    build cl ~map ?resilience ?send_method ?pipeline ~durable ?record
-      ?eps_per_replica
+    build cl ~map ?resilience ?pipeline ~durable ?record
       ~hosts_for:(fun shard ->
         let sr = List.nth reports shard in
         sr.sr_creator

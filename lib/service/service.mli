@@ -52,11 +52,9 @@ val deploy :
   Cluster.t ->
   map:Shard_map.t ->
   ?resilience:int ->
-  ?send_method:Types.send_method ->
   ?pipeline:int ->
   ?durable:durable_config ->
   ?record:bool ->
-  ?eps_per_replica:int ->
   unit ->
   t
 (** Creates every shard's group and joins its replicas (atomic state
@@ -65,11 +63,11 @@ val deploy :
     [resilience] (default 1) is each group's resilience degree.
     [record] (default false) taps every replica's delivery stream and
     logs every completed write, so {!check} can run the chaos
-    invariants per shard after a faulted run.  [eps_per_replica]
-    (default 4) is the RPC worker pool per replica: endpoints service
-    one request at a time and a write occupies its endpoint for the
-    whole submit round-trip, so a pool is what lets one replica hold
-    several writes in flight.  [pipeline] (default 1) is each replica
+    invariants per shard after a faulted run.  Each replica serves a
+    pool of 4 RPC endpoints: endpoints service one request at a time
+    and a write occupies its endpoint for the whole submit round-trip,
+    so a pool is what lets one replica hold several writes in flight.
+    Groups use the PB send method.  [pipeline] (default 1) is each replica
     kernel's in-flight sequencer-round depth: with several endpoint
     workers submitting concurrently, depth > 1 lets a replica keep
     that many rounds unacknowledged instead of lock-stepping them.
@@ -82,10 +80,8 @@ val recover :
   map:Shard_map.t ->
   durable:durable_config ->
   ?resilience:int ->
-  ?send_method:Types.send_method ->
   ?pipeline:int ->
   ?record:bool ->
-  ?eps_per_replica:int ->
   ?hosts_for:(int -> int list) ->
   unit ->
   t

@@ -675,6 +675,55 @@ let test_workload_open_loop () =
         (r.Driver.attempted > 120 && r.Driver.attempted < 280);
       Alcotest.(check int) "no failures" 0 r.Driver.failed
 
+(* A [Wrong_shard] reply fails its op.  The router's map never
+   changes, so re-hashing the key would send the op straight back to
+   the shard that refused it.  Here the router's 1-shard map disagrees
+   with a 2-shard service: the misrouted put must fail at once, and
+   the puts behind it must still be served. *)
+let test_wrong_shard_fails_op () =
+  let cl = Cluster.create ~n:5 ~seed:3 () in
+  let eng = cl.Cluster.engine in
+  let replies = ref [] and redirects = ref (-1) in
+  let misrouted = ref "" in
+  Cluster.spawn cl (fun () ->
+      let hosts = [ 0; 1; 2; 3 ] in
+      let map = Shard_map.create ~shards:2 ~replication:2 ~hosts () in
+      let svc = Service.deploy cl ~map ~resilience:0 () in
+      let router =
+        Router.create (Cluster.flip cl 4)
+          ~map:(Shard_map.create ~shards:1 ~replication:2 ~hosts ())
+          ~endpoints:[| (Service.endpoints svc).(0) |]
+          ()
+      in
+      let key_on s =
+        List.find
+          (fun k -> Shard_map.shard_of_key map k = s)
+          (List.init 64 (Printf.sprintf "k%d"))
+      in
+      let put k =
+        Cluster.spawn cl (fun () ->
+            let r = Router.put router k "v" in
+            replies := (k, r) :: !replies)
+      in
+      misrouted := key_on 1;
+      put !misrouted;
+      Engine.sleep eng (Time.ms 200);
+      for _ = 1 to 5 do
+        put (key_on 0)
+      done;
+      Engine.sleep eng (Time.sec 5);
+      redirects := (Router.stats router).Router.redirects);
+  Cluster.run ~until:(Time.sec 30) cl;
+  Alcotest.(check int) "every op returned" 6 (List.length !replies);
+  List.iter
+    (fun (k, r) ->
+      match r with
+      | Router.Failed _ when k = !misrouted -> ()
+      | Router.Written when k <> !misrouted -> ()
+      | _ -> Alcotest.failf "unexpected reply for %s" k)
+    !replies;
+  Alcotest.(check int) "one Wrong_shard reply" 1 !redirects
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "service",
@@ -701,6 +750,7 @@ let suite =
       tc "batches flush on the Nagle timer" test_batch_flush_on_timeout;
       tc "batch stream spans a sequencer crash"
         test_batch_spans_sequencer_crash;
+      tc "a Wrong_shard reply fails its op" test_wrong_shard_fails_op;
       tc "workload smoke" test_workload_smoke;
       tc "workload deterministic" test_workload_deterministic;
       tc "workload open loop" test_workload_open_loop;
