@@ -520,12 +520,12 @@ let workload_cmd =
     let failed = ref false in
     let crashing = crash_seq || crash_follower in
     (* Invariants are checked whenever the run disturbs the service —
-       crashes, live migration, elastic rebalancing — not only on the
-       crash paths: a migration that loses or duplicates a write must
-       fail the run (exit 1), not just print throughput.  The record
-       tap is a pure callback with no simulated cost, so enabling it
-       does not move any measured figure. *)
-    let checking = crashing || migrate || rebalance in
+       crashes, live migration, elastic rebalancing, a power cycle —
+       not only on the crash paths: a migration that loses or
+       duplicates a write must fail the run (exit 1), not just print
+       throughput.  The record tap is a pure callback with no simulated
+       cost, so enabling it does not move any measured figure. *)
+    let checking = crashing || migrate || rebalance || power_cycle in
     let tb =
       Testbed.create
         {
@@ -622,23 +622,22 @@ let workload_cmd =
                        (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
                  | Error e -> Printf.printf "migrate: failed: %s\n%!" e
                end));
-        (if rebalance then
-           ignore
-             (Rebalancer.start cl svc
-                ~on_move:(fun mv ->
-                  match mv.Rebalancer.mv_result with
-                  | Ok () ->
-                      Testbed.repoint live;
-                      Printf.printf
-                        "rebalanced: shard %d [%s] -> [%s] at t=%.1fs\n%!"
-                        mv.Rebalancer.mv_shard
-                        (pp_hosts mv.Rebalancer.mv_from)
-                        (pp_hosts mv.Rebalancer.mv_to)
-                        (Amoeba_sim.Time.to_sec mv.Rebalancer.mv_time)
-                  | Error e ->
-                      Printf.printf "rebalance: shard %d move failed: %s\n%!"
-                        mv.Rebalancer.mv_shard e)
-                ()));
+        if rebalance then
+          Rebalancer.start cl svc
+            ~on_move:(fun mv ->
+              match mv.Rebalancer.mv_result with
+              | Ok () ->
+                  Testbed.repoint live;
+                  Printf.printf
+                    "rebalanced: shard %d [%s] -> [%s] at t=%.1fs\n%!"
+                    mv.Rebalancer.mv_shard
+                    (pp_hosts mv.Rebalancer.mv_from)
+                    (pp_hosts mv.Rebalancer.mv_to)
+                    (Amoeba_sim.Time.to_sec mv.Rebalancer.mv_time)
+              | Error e ->
+                  Printf.printf "rebalance: shard %d move failed: %s\n%!"
+                    mv.Rebalancer.mv_shard e)
+            ();
         let crash_at what h =
           Cluster.spawn cl (fun () ->
               Engine.sleep eng (duration / 2);
@@ -767,7 +766,7 @@ let workload_cmd =
             (fun (label, v) ->
               Format.printf "%s: %a@." label Checker.pp_verdict v;
               if not v.Checker.ok then failed := true)
-            (Testbed.verdicts svc ~crashed);
+            (Testbed.judge live ~crashed);
           Printf.printf "verdict:   %s\n"
             (if !failed then "FAIL" else "PASS")
         end);

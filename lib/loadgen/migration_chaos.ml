@@ -193,31 +193,9 @@ let run spec =
         verdicts := (label, v) :: !verdicts;
         if not v.Checker.ok then all_ok := false
       in
-      match !recovered with
-      | None -> List.iter add (Testbed.verdicts svc ~crashed:!crashed)
-      | Some svc' ->
-          (* The power loss killed every pre-cut replica, so ownership
-             belongs to the recovered service; the pre-cut streams
-             still owe the base invariants, including total order
-             across the cutover. *)
-          for shard = 0 to shards - 1 do
-            List.iter
-              (fun v -> add (Printf.sprintf "shard %d" shard, v))
-              (Checker.run ~durability_applies:false
-                 ~streams:
-                   (Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
-                 ~completed:(Service.completed svc ~shard)
-                 ())
-          done;
-          List.iter add (Testbed.verdicts ~tag:"'" svc' ~crashed:[]);
-          for shard = 0 to shards - 1 do
-            add
-              ( Printf.sprintf "shard %d'" shard,
-                Service.check_migration svc' ~shard ~crashed:[] )
-          done;
-          if !sent_lost <> [] then
-            (* Every_commit: every acked sentinel must survive *)
-            all_ok := false);
+      List.iter add (Testbed.judge live ~crashed:!crashed);
+      (* Every_commit: every acked sentinel must survive *)
+      if !sent_lost <> [] then all_ok := false);
   Cluster.run ~until:(duration + Time.sec 60) cl;
   {
     o_spec = spec;

@@ -144,3 +144,33 @@ let verdicts ?(tag = "") svc ~crashed =
     (fun (shard, vs) ->
       List.map (fun v -> (Printf.sprintf "shard %d%s" shard tag, v)) vs)
     (Service.check svc ~crashed)
+
+(* After a power cycle every pre-cut replica is dead, so ownership
+   belongs to the recovered service, judged on the crashed hosts still
+   down at the end; the pre-cut streams still owe the base invariants,
+   including total order across the cutover. *)
+let judge l ~crashed =
+  if l.serving == l.deployed then verdicts l.deployed ~crashed
+  else
+    let cl = l.bed.cluster and svc = l.deployed in
+    let shards = List.init (Shard_map.shards l.bed.map) Fun.id in
+    let down =
+      List.filter
+        (fun h -> not (Machine.is_alive (Cluster.machine cl h)))
+        crashed
+    in
+    List.concat_map
+      (fun shard ->
+        List.map
+          (fun v -> (Printf.sprintf "shard %d" shard, v))
+          (Checker.run ~durability_applies:false
+             ~streams:(Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
+             ~completed:(Service.completed svc ~shard)
+             ()))
+      shards
+    @ verdicts ~tag:"'" l.serving ~crashed:down
+    @ List.map
+        (fun shard ->
+          ( Printf.sprintf "shard %d'" shard,
+            Service.check_migration l.serving ~shard ~crashed:down ))
+        shards

@@ -81,3 +81,13 @@ val read_back : live -> string list
 val verdicts :
   ?tag:string -> Service.t -> crashed:int list -> (string * Checker.verdict) list
 (** {!Service.check}, each verdict labelled ["shard <i><tag>"]. *)
+
+val judge : live -> crashed:int list -> (string * Checker.verdict) list
+(** The verdicts on a run's end state, given the hosts the run
+    crashed.  Without a {!power_cycle} this is
+    [verdicts deployed ~crashed].  After one, every replica of the
+    deployed service died, so its streams get only the base invariants
+    (every host counted crashed, durability off), labelled
+    ["shard <i>"]; the recovered service owns the shards and gets
+    {!verdicts} plus {!Service.check_migration}, labelled
+    ["shard <i>'"], with [crashed] narrowed to the hosts still down. *)

@@ -20,8 +20,6 @@ type server = {
   handler : bytes -> outcome;
   inbox : (wire * Addr.t) Channel.t;
   replies : (int * Addr.t, bytes) Hashtbl.t;  (** at-most-once cache *)
-  mutable running : bool;
-  mutable handled : int;
   mutable forwarded : int;
 }
 
@@ -46,32 +44,29 @@ let server_loop t () =
   let engine = Machine.engine machine in
   let rec loop () =
     let wire, _src = Channel.recv engine t.inbox in
-    if t.running then begin
-      (match wire with
-      | Request { rid; client; body } -> (
-          charge t.flip;
-          match Hashtbl.find_opt t.replies (rid, client) with
-          | Some cached ->
-              ignore (send_wire t.flip ~src:t.addr ~dst:client
-                        (Response { rid; body = cached }))
-          | None -> (
-              user_switch t.flip;
-              match t.handler body with
-              | Reply reply ->
-                  t.handled <- t.handled + 1;
-                  if Hashtbl.length t.replies > 1024 then Hashtbl.reset t.replies;
-                  Hashtbl.replace t.replies (rid, client) reply;
-                  ignore (send_wire t.flip ~src:t.addr ~dst:client
-                            (Response { rid; body = reply }))
-              | Forward target ->
-                  (* ForwardRequest: the next member replies straight
-                     to the original client. *)
-                  t.forwarded <- t.forwarded + 1;
-                  ignore (send_wire t.flip ~src:t.addr ~dst:target
-                            (Request { rid; client; body }))))
-      | Response _ -> ());
-      loop ()
-    end
+    (match wire with
+    | Request { rid; client; body } -> (
+        charge t.flip;
+        match Hashtbl.find_opt t.replies (rid, client) with
+        | Some cached ->
+            ignore (send_wire t.flip ~src:t.addr ~dst:client
+                      (Response { rid; body = cached }))
+        | None -> (
+            user_switch t.flip;
+            match t.handler body with
+            | Reply reply ->
+                if Hashtbl.length t.replies > 1024 then Hashtbl.reset t.replies;
+                Hashtbl.replace t.replies (rid, client) reply;
+                ignore (send_wire t.flip ~src:t.addr ~dst:client
+                          (Response { rid; body = reply }))
+            | Forward target ->
+                (* ForwardRequest: the next member replies straight
+                   to the original client. *)
+                t.forwarded <- t.forwarded + 1;
+                ignore (send_wire t.flip ~src:t.addr ~dst:target
+                          (Request { rid; client; body }))))
+    | Response _ -> ());
+    loop ()
   in
   loop ()
 
@@ -83,8 +78,6 @@ let serve flip ~addr handler =
       handler;
       inbox = Channel.create ();
       replies = Hashtbl.create 64;
-      running = true;
-      handled = 0;
       forwarded = 0;
     }
   in
@@ -95,11 +88,6 @@ let serve flip ~addr handler =
   Engine.spawn (Machine.engine (Flip.machine flip)) (server_loop t);
   t
 
-let stop t =
-  t.running <- false;
-  Flip.unregister t.flip t.addr
-
-let requests_handled t = t.handled
 let requests_forwarded t = t.forwarded
 
 type client = {

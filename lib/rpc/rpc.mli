@@ -19,10 +19,6 @@ val serve : Flip.t -> addr:Addr.t -> (bytes -> outcome) -> server
     server's own process and may block; it returns either a reply or
     a forward destination. *)
 
-val stop : server -> unit
-
-val requests_handled : server -> int
-
 val requests_forwarded : server -> int
 
 type client

@@ -5,12 +5,12 @@
     lands on its sequencer's CPU, so the load metric is sequencing
     load: each shard's handled-op delta over the sampling interval,
     credited wholly to the machine hosting its sequencer.  When one
-    machine's share exceeds [hot_factor] times the pool mean, the
-    hottest shard it sequences is {!Service.migrate_shard}'d onto the
-    coldest machines currently holding none of its replicas — the
-    whole replica set moves, so the first (coldest) joiner is the
-    lowest-numbered survivor after the cutover and provably inherits
-    the sequencer role.  The Zipf workload's hot-key skew is exactly
+    machine's share exceeds twice the pool mean, the hottest shard it
+    sequences is {!Service.migrate_shard}'d onto the coldest machines
+    currently holding none of its replicas — the whole replica set
+    moves, so the first (coldest) joiner is the lowest-numbered
+    survivor after the cutover and provably inherits the sequencer
+    role.  The Zipf workload's hot-key skew is exactly
     what trips this.
 
     A move happens only when it strictly improves the balance: the
@@ -24,19 +24,6 @@
 open Amoeba_sim
 open Amoeba_harness
 
-type config = {
-  interval : Time.t;  (** sampling period (default 250 ms) *)
-  hot_factor : float;
-      (** a host is hot when its sequencing load exceeds this multiple
-          of the pool mean (default 2.0) *)
-  min_ops : int;
-      (** ignore intervals with fewer handled ops than this — idle
-          noise is not load evidence (default 32) *)
-  max_moves : int;  (** stop after this many migrations (default 4) *)
-}
-
-val default_config : config
-
 type move = {
   mv_time : Time.t;
   mv_shard : int;
@@ -45,23 +32,10 @@ type move = {
   mv_result : (unit, string) result;
 }
 
-type t
-
-val start :
-  Cluster.t ->
-  Service.t ->
-  ?config:config ->
-  ?on_move:(move -> unit) ->
-  unit ->
-  t
-(** Spawns the sampling loop as a root (crash-surviving) process.
-    [on_move] fires after every migration attempt, successful or not —
-    hand the service's refreshed {!Service.endpoints} to each router's
-    [update_endpoints] there.  The loop exits after [max_moves]
-    attempts or {!stop}. *)
-
-val moves : t -> move list
-(** Migration attempts so far, oldest first. *)
-
-val stop : t -> unit
-(** The loop exits at its next tick. *)
+val start : Cluster.t -> Service.t -> ?on_move:(move -> unit) -> unit -> unit
+(** Spawns the sampling loop as a root (crash-surviving) process: it
+    samples every 250 ms and ignores intervals with fewer than 32
+    handled ops (idle noise is not load evidence).  [on_move] fires
+    after every migration attempt, successful or not — hand the
+    service's refreshed {!Service.endpoints} to each router's
+    [update_endpoints] there.  The loop exits after 4 attempts. *)
