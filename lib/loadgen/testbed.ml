@@ -164,7 +164,8 @@ let judge l ~crashed =
         List.map
           (fun v -> (Printf.sprintf "shard %d" shard, v))
           (Checker.run ~durability_applies:false
-             ~streams:(Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
+             ~streams:
+               (Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
              ~completed:(Service.completed svc ~shard)
              ()))
       shards

@@ -117,7 +117,6 @@ let suspect_host ss host =
     (fun j ep -> if ep.Service.ep_host = host then ss.suspect.(j) <- true)
     ss.eps
 
-(* Each RPC attempt's bound. *)
 let rpc_timeout = Time.ms 250
 
 (* Ships [items] to shard [ss] as one RPC — in the lone-op frame, or

@@ -230,18 +230,17 @@ let probe_addr t host =
       Hashtbl.add t.detectors host a;
       a
 
-(* The RPC endpoint pool each replica serves. *)
 let eps_per_replica = 4
 
 (* Brings one replica up on [host]: create or join the shard's group,
    then serve the request protocol at [eps_per_replica] fresh
-   endpoints.  RPC endpoints service one request at a time, and a
-   write holds its endpoint for the whole submit round-trip — so a
-   single endpoint would cap the replica near 1/latency ops/s.  A small pool of
-   endpoints over the same replica is the classic server worker pool,
-   and the kernel inbox serialises the concurrent submits.  All of it
-   runs on the host machine, so a crash takes the replica and its
-   endpoints down together.  The ivar yields [Error] instead of a
+   endpoints.  RPC endpoints service one request at a time, and a write
+   holds its endpoint for the whole submit round-trip — so a single
+   endpoint would cap the replica near 1/latency ops/s.  A small pool
+   of endpoints over the same replica is the classic server worker
+   pool, and the kernel inbox serialises the concurrent submits.  All
+   of it runs on the host machine, so a crash takes the replica and
+   its endpoints down together.  The ivar yields [Error] instead of a
    cluster-wide failure so a migration can roll back a refused join;
    it is filled with [try_fill] so a caller-side watchdog can turn a
    crashed bring-up into a timely verdict. *)

@@ -233,7 +233,9 @@ let service_crash_run name config ~victim ~mix ~load =
             Some
               ( trial,
                 List.map Router.stats routers,
-                (Service.reads svc, Service.writes_ok svc, Service.writes_busy svc),
+                ( Service.reads svc,
+                  Service.writes_ok svc,
+                  Service.writes_busy svc ),
                 Testbed.verdicts svc ~crashed:[ victim ] ));
       Cluster.run ~until:(Time.sec 60) cl;
       digest !result )
@@ -316,7 +318,8 @@ let runs =
       migration_chaos_run;
       service_power_cycle_run;
     ]
-  @ service_crash_runs @ baseline_compare_runs @ burst_delay_runs @ baseline_fault_runs
+  @ service_crash_runs @ baseline_compare_runs @ burst_delay_runs
+  @ baseline_fault_runs
 
 (* Digests pinned from the runs above; a run missing here fails as
    unpinned. *)
