@@ -905,14 +905,13 @@ let migration_run ~records ~disk ~seed =
          10 k-record reconcile at 1996-hdd seek times needs minutes of
          simulated time, so the bench bounds each step generously *)
       (match
-         Service.migrate_shard svc ~shard:0
+         Testbed.migrate live ~shard:0
            ~timeout:(Amoeba_sim.Time.sec 300)
-           ~hosts:[ 4; 5 ] ()
+           ~hosts:[ 4; 5 ]
        with
       | Ok () -> ()
       | Error e -> failwith ("migration bench: migration failed: " ^ e));
       t_mig := (t0, Cluster.now cl);
-      Testbed.repoint live;
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.sec 1);
       probing := false);
   Cluster.run ~until:(Amoeba_sim.Time.sec 600) cl;

@@ -512,10 +512,22 @@ let workload_cmd =
       | `Zipf -> Keygen.Zipf skew
       | `Latest -> Keygen.Latest skew
     in
-    if power_cycle && disk = None then begin
-      Printf.eprintf "--power-cycle needs a disk (pass --disk)\n";
+    (* The map gives every shard min replication hosts, all distinct. *)
+    let k = min replication hosts in
+    let bad_flags msg =
+      prerr_endline msg;
       exit 2
-    end;
+    in
+    if power_cycle && disk = None then
+      bad_flags "--power-cycle needs a disk (pass --disk)";
+    if crash_follower && k < 2 then
+      bad_flags "--crash-follower needs replication >= 2";
+    if migrate && hosts - k < k then
+      bad_flags
+        (Printf.sprintf
+           "--migrate needs %d hosts free of shard 0's replicas; --hosts %d \
+            leaves %d"
+           k hosts (hosts - k));
     let duration = Amoeba_sim.Time.ms duration_ms in
     let failed = ref false in
     let crashing = crash_seq || crash_follower in
@@ -564,7 +576,7 @@ let workload_cmd =
                Printf.printf
                  "power loss: all %d server hosts down at t=%.1fs\n%!" hosts
                  (Amoeba_sim.Time.to_sec (Engine.now eng));
-               let svc' = Testbed.power_cycle live in
+               let lost = Testbed.power_cycle live in
                List.iter
                  (fun sr ->
                    Printf.printf "recovered: shard %d from m%d at %d applied (%s)\n%!"
@@ -578,50 +590,40 @@ let workload_cmd =
                                | Some _ -> "refused"
                                | None -> string_of_int hr.Service.hr_applied))
                            sr.Service.sr_hosts)))
-                 (Service.recovery_report svc');
-               let lost = Testbed.read_back live in
+                 (Service.recovery_report live.serving);
                Printf.printf "sentinels: %d acked, %d lost across the cycle%s\n%!"
                  (List.length live.sentinels) (List.length lost)
                  (if lost = [] then ""
                   else " (" ^ String.concat ", " (List.rev lost) ^ ")");
-               match (fsync, lost) with
-               | _, [] -> ()
-               | Amoeba_grouplib.Rsm.Every_commit, _ ->
-                   Printf.printf
-                     "FAIL: acked writes lost under fsync-per-commit\n%!";
-                   failed := true
-               | _ ->
-                   Printf.printf
-                     "(allowed by the fsync policy's trailing window)\n%!"));
+               if Testbed.sentinels_failed live then begin
+                 Printf.printf
+                   "FAIL: acked writes lost under fsync-per-commit\n%!";
+                 failed := true
+               end
+               else if lost <> [] then
+                 Printf.printf
+                   "(allowed by the fsync policy's trailing window)\n%!"));
         let pp_hosts hs =
           String.concat "," (List.map (Printf.sprintf "m%d") hs)
         in
         (if migrate then
            Cluster.spawn cl (fun () ->
                Engine.sleep eng (duration / 3);
-               let cur = Shard_map.replica_hosts (Service.map svc) 0 in
-               let free =
-                 List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts map)
+               let cur = Shard_map.replica_hosts (Service.map live.serving) 0 in
+               let tgt =
+                 List.filteri
+                   (fun i _ -> i < List.length cur)
+                   (List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts map))
                in
-               let k = List.length cur in
-               if List.length free < k then
-                 Printf.printf
-                   "migrate: only %d hosts free of shard 0 replicas, %d \
-                    needed\n%!"
-                   (List.length free) k
-               else begin
-                 let tgt = List.filteri (fun i _ -> i < k) free in
-                 let t0 = Engine.now eng in
-                 match Service.migrate_shard svc ~shard:0 ~hosts:tgt () with
-                 | Ok () ->
-                     Testbed.repoint live;
-                     Printf.printf
-                       "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
-                       (pp_hosts cur)
-                       (pp_hosts (Shard_map.replica_hosts (Service.map svc) 0))
-                       (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
-                 | Error e -> Printf.printf "migrate: failed: %s\n%!" e
-               end));
+               let t0 = Engine.now eng in
+               match Testbed.migrate live ~shard:0 ~hosts:tgt with
+               | Ok () ->
+                   Printf.printf
+                     "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
+                     (pp_hosts cur)
+                     (pp_hosts (Shard_map.replica_hosts (Service.map live.serving) 0))
+                     (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
+               | Error e -> Printf.printf "migrate: failed: %s\n%!" e));
         if rebalance then
           Rebalancer.start cl svc
             ~on_move:(fun mv ->
@@ -638,25 +640,16 @@ let workload_cmd =
                   Printf.printf "rebalance: shard %d move failed: %s\n%!"
                     mv.Rebalancer.mv_shard e)
             ();
-        let crash_at what h =
+        let crash what h =
           Cluster.spawn cl (fun () ->
               Engine.sleep eng (duration / 2);
               Printf.printf "crashing m%d (shard 0's %s) at t=%.1fs\n%!" h what
                 (Amoeba_sim.Time.to_sec (Engine.now eng));
-              Amoeba_net.Machine.crash (Cluster.machine cl h));
-          [ h ]
+              Testbed.crash live h)
         in
-        let crashed =
-          (if crash_seq then crash_at "sequencer" (Shard_map.sequencer_host map 0)
-           else [])
-          @
-          match (crash_follower, Shard_map.replica_hosts map 0) with
-          | false, _ -> []
-          | true, _seq :: follower :: _ -> crash_at "serving follower" follower
-          | true, _ ->
-              Printf.eprintf "--crash-follower needs replication >= 2\n";
-              exit 2
-        in
+        if crash_seq then crash "sequencer" (Shard_map.sequencer_host map 0);
+        if crash_follower then
+          crash "serving follower" (List.nth (Shard_map.replica_hosts map 0) 1);
         let module D = Amoeba_loadgen.Driver in
         let load =
           match rate with Some rate -> D.Open rate | None -> D.Closed workers
@@ -766,7 +759,7 @@ let workload_cmd =
             (fun (label, v) ->
               Format.printf "%s: %a@." label Checker.pp_verdict v;
               if not v.Checker.ok then failed := true)
-            (Testbed.judge live ~crashed);
+            (Testbed.judge live);
           Printf.printf "verdict:   %s\n"
             (if !failed then "FAIL" else "PASS")
         end);

@@ -2,7 +2,6 @@ open Amoeba_sim
 open Amoeba_harness
 open Amoeba_service
 module Medium = Amoeba_net.Medium
-module Machine = Amoeba_net.Machine
 module Cost_model = Amoeba_net.Cost_model
 module Rsm = Amoeba_grouplib.Rsm
 
@@ -105,44 +104,30 @@ let run spec =
   let d_pc = off () in
   let t_m = duration / 3 in
   let mig_result = ref None in
-  let crashed = ref [] in
-  let recovered = ref None in
   let live_r = ref None in
-  let sent_lost = ref [] in
   let completed = ref 0 in
   let failed = ref 0 in
   let verdicts = ref [] in
-  let all_ok = ref true in
   Cluster.spawn cl (fun () ->
       if spec.mc_hostile then
         Medium.set_conditions cl.Cluster.net adversarial_net;
       let live = Testbed.deploy tb in
       live_r := Some live;
-      let svc = live.Testbed.deployed and rs = live.Testbed.routers in
+      let rs = live.Testbed.routers in
       (if spec.mc_power_cycle then
          (* sentinel writes before the migration: the acked ones are
             obligations the mid-migration power loss must not revoke *)
          Cluster.spawn cl (fun () ->
              Engine.sleep eng (duration / 4);
              Testbed.write_sentinels live 6));
-      (* Both the migration and the recovery fibers repoint the
-         routers; whichever runs later must win, so both aim at the
-         service now serving. *)
       Cluster.spawn cl (fun () ->
           Engine.sleep eng t_m;
-          let res =
-            Service.migrate_shard svc ~shard:0 ~timeout:(Time.ms 600)
-              ~hosts:target ()
-          in
-          mig_result := Some res;
-          Testbed.repoint live);
+          mig_result :=
+            Some (Testbed.migrate live ~shard:0 ~timeout:(Time.ms 600) ~hosts:target));
       let crash_at d h =
         Cluster.spawn cl (fun () ->
             Engine.sleep eng (t_m + d);
-            if Machine.is_alive (Cluster.machine cl h) then begin
-              Machine.crash (Cluster.machine cl h);
-              crashed := h :: !crashed
-            end)
+            Testbed.crash live h)
       in
       if spec.mc_crash_source then
         crash_at d_src (Shard_map.sequencer_host map 0);
@@ -159,8 +144,7 @@ let run spec =
                  base @ List.filter (fun h -> not (List.mem h base)) target
                else base
              in
-             recovered := Some (Testbed.power_cycle ~hosts_for:union_hosts live);
-             sent_lost := Testbed.read_back live));
+             ignore (Testbed.power_cycle ~hosts_for:union_hosts live)));
       let res =
         Driver.drive cl ~map ~routers:rs
           {
@@ -189,28 +173,22 @@ let run spec =
         ignore (Router.put (List.hd rs) (flush_key map shard 0) "flush")
       done;
       Engine.sleep eng (Time.sec 1);
-      let add (label, v) =
-        verdicts := (label, v) :: !verdicts;
-        if not v.Checker.ok then all_ok := false
-      in
-      List.iter add (Testbed.judge live ~crashed:!crashed);
-      (* Every_commit: every acked sentinel must survive *)
-      if !sent_lost <> [] then all_ok := false);
+      verdicts := Testbed.judge live);
   Cluster.run ~until:(duration + Time.sec 60) cl;
+  let live = Option.get !live_r in
   {
     o_spec = spec;
     o_migration = !mig_result;
     o_completed = !completed;
     o_failed = !failed;
-    o_crashed = List.rev !crashed;
-    o_recovered = !recovered <> None;
-    o_sentinels_acked =
-      (match !live_r with
-      | Some l -> List.length l.Testbed.sentinels
-      | None -> 0);
-    o_sentinels_lost = List.length !sent_lost;
-    o_verdicts = List.rev !verdicts;
-    o_ok = !all_ok;
+    o_crashed = List.rev live.Testbed.crashed;
+    o_recovered = live.Testbed.serving != live.Testbed.deployed;
+    o_sentinels_acked = List.length live.Testbed.sentinels;
+    o_sentinels_lost = List.length live.Testbed.lost;
+    o_verdicts = !verdicts;
+    o_ok =
+      List.for_all (fun (_, v) -> v.Checker.ok) !verdicts
+      && not (Testbed.sentinels_failed live);
   }
 
 let pp_outcome ppf o =

@@ -80,6 +80,8 @@ type live = {
   routers : Router.t list;
   mutable serving : Service.t;
   mutable sentinels : string list;
+  mutable lost : string list;
+  mutable crashed : int list;
 }
 
 let deploy bed =
@@ -97,12 +99,56 @@ let deploy bed =
           ~stale_reads:c.stale_reads ~map:bed.map
           ~endpoints:(Service.endpoints svc) ())
   in
-  { bed; deployed = svc; routers; serving = svc; sentinels = [] }
+  {
+    bed;
+    deployed = svc;
+    routers;
+    serving = svc;
+    sentinels = [];
+    lost = [];
+    crashed = [];
+  }
 
 let repoint l =
   List.iter
     (fun r -> Router.update_endpoints r (Service.endpoints l.serving))
     l.routers
+
+let served l f =
+  if l.serving == l.deployed then f l.deployed
+  else f l.deployed + f l.serving
+
+let sequencer l ~shard = Service.sequencer_of l.serving shard
+
+let follower l ~shard =
+  let seq = sequencer l ~shard in
+  match
+    List.filter (( <> ) seq)
+      (Shard_map.replica_hosts (Service.map l.serving) shard)
+  with
+  | h :: _ -> h
+  | [] -> invalid_arg "Testbed.follower: a single-replica shard"
+
+let crash l h =
+  let m = Cluster.machine l.bed.cluster h in
+  if Machine.is_alive m then begin
+    Machine.crash m;
+    l.crashed <- h :: l.crashed
+  end
+
+let migrate ?timeout l ~shard ~hosts =
+  let res = Service.migrate_shard l.serving ~shard ?timeout ~hosts () in
+  repoint l;
+  res
+
+let write_sentinels l n =
+  let r0 = List.hd l.routers in
+  for i = 0 to n - 1 do
+    let k = Printf.sprintf "sentinel-%d" i in
+    match Router.put r0 k (Printf.sprintf "s%d" i) with
+    | Router.Written -> l.sentinels <- k :: l.sentinels
+    | _ -> ()
+  done
 
 let power_cycle ?hosts_for l =
   let { config = c; cluster = cl; durable; _ } = l.bed in
@@ -115,29 +161,22 @@ let power_cycle ?hosts_for l =
   List.iter (fun h -> Machine.crash (Cluster.machine cl h)) hosts;
   Engine.sleep cl.Cluster.engine (Time.ms 275);
   List.iter (Cluster.restart cl) hosts;
-  let svc =
+  l.serving <-
     Service.recover cl ~map:(Service.map l.serving) ~durable
       ~resilience:c.resilience ~pipeline:c.pipeline_depth ~record:c.record
-      ?hosts_for ()
-  in
-  l.serving <- svc;
+      ?hosts_for ();
   repoint l;
-  svc
-
-let write_sentinels l n =
+  (* read the acked sentinels back, oldest first, through the first
+     router *)
   let r0 = List.hd l.routers in
-  for i = 0 to n - 1 do
-    let k = Printf.sprintf "sentinel-%d" i in
-    match Router.put r0 k (Printf.sprintf "s%d" i) with
-    | Router.Written -> l.sentinels <- k :: l.sentinels
-    | _ -> ()
-  done
+  l.lost <-
+    List.filter
+      (fun k -> match Router.get r0 k with Router.Value _ -> false | _ -> true)
+      (List.rev l.sentinels);
+  l.lost
 
-let read_back l =
-  let r0 = List.hd l.routers in
-  List.filter
-    (fun k -> match Router.get r0 k with Router.Value _ -> false | _ -> true)
-    (List.rev l.sentinels)
+let sentinels_failed l =
+  l.lost <> [] && l.bed.config.fsync = Rsm.Every_commit
 
 let verdicts ?(tag = "") svc ~crashed =
   List.concat_map
@@ -146,18 +185,18 @@ let verdicts ?(tag = "") svc ~crashed =
     (Service.check svc ~crashed)
 
 (* After a power cycle every pre-cut replica is dead, so ownership
-   belongs to the recovered service, judged on the crashed hosts still
-   down at the end; the pre-cut streams still owe the base invariants,
+   belongs to the recovered service, judged on the hosts {!crash}
+   killed that are still down at the end; the pre-cut streams still owe the base invariants,
    including total order across the cutover. *)
-let judge l ~crashed =
-  if l.serving == l.deployed then verdicts l.deployed ~crashed
+let judge l =
+  if l.serving == l.deployed then verdicts l.deployed ~crashed:l.crashed
   else
     let cl = l.bed.cluster and svc = l.deployed in
     let shards = List.init (Shard_map.shards l.bed.map) Fun.id in
     let down =
       List.filter
         (fun h -> not (Machine.is_alive (Cluster.machine cl h)))
-        crashed
+        l.crashed
     in
     List.concat_map
       (fun shard ->

@@ -1,10 +1,14 @@
 (** The sharded-service testbed: builds a cluster for the
-    {!Amoeba_service.Service}, deploys it with its routers, tracks
-    which service is serving, power-cycles it and collects its checker
-    verdicts — the bring-up the {!Driver}, {!Migration_chaos}, the
-    bench targets and the CLI share.  The choreography stays with the
-    caller: when link conditions change (before or after {!deploy}),
-    when faults fire and what load runs. *)
+    {!Amoeba_service.Service}, deploys it with its routers, and owns
+    the faults a run aims at it — the bring-up and fault choreography
+    the {!Driver}, {!Migration_chaos}, the bench targets and the CLI
+    share.  It decides which host a role names when a crash fires
+    ({!sequencer}, {!follower}), which hosts count as crashed
+    ({!crash}), what a migration and a power cycle owe afterwards
+    ({!migrate}, {!power_cycle}, {!sentinels_failed}), which service is
+    serving, and how the end state is judged ({!judge}).  The caller
+    keeps the timings (plain [Engine.sleep]s in its own fibers), the
+    link conditions and the load. *)
 
 open Amoeba_harness
 open Amoeba_service
@@ -53,6 +57,10 @@ type live = private {
   mutable serving : Service.t;
       (** what the routers point at: [deployed] until {!power_cycle} *)
   mutable sentinels : string list;  (** acked so far, newest first *)
+  mutable lost : string list;
+      (** acked sentinels the last {!power_cycle} did not read back,
+          oldest first *)
+  mutable crashed : int list;  (** hosts {!crash} killed, newest first *)
 }
 
 val deploy : t -> live
@@ -62,32 +70,60 @@ val deploy : t -> live
 val repoint : live -> unit
 (** Hands [serving]'s endpoints to every router. *)
 
-val power_cycle : ?hosts_for:(int -> int list) -> live -> Service.t
-(** Crashes every server host, waits 275 ms, restarts them,
-    {!Service.recover}s the service on [serving]'s shard map, so a
-    shard that migrated comes back from its current hosts (deploy's
-    resilience, pipeline and recording; [hosts_for] as there), makes
-    it [serving] and repoints.  Blocking; needs a disk. *)
+val served : live -> (Service.t -> int) -> int
+(** A service counter summed over every service that served: [deployed]
+    and, after a {!power_cycle}, the recovered [serving] one. *)
+
+val sequencer : live -> shard:int -> int
+(** The host of shard [shard]'s sequencer on the serving service at the
+    time of the call, per its group's own view
+    ({!Service.sequencer_of}): after a migration the new sequencer,
+    after a power cycle the recovered one. *)
+
+val follower : live -> shard:int -> int
+(** Shard [shard]'s first replica host on the serving service's map
+    that is not its {!sequencer}, at the time of the call.
+    @raise Invalid_argument for a single-replica shard. *)
+
+val crash : live -> int -> unit
+(** Crashes host [h] and records it in [crashed] if it is alive; a host
+    already down is left alone and not recorded. *)
+
+val migrate :
+  ?timeout:Amoeba_sim.Time.t ->
+  live ->
+  shard:int ->
+  hosts:int list ->
+  (unit, string) result
+(** {!Service.migrate_shard} on the serving service ([timeout] as
+    there), then {!repoint} whatever the result, so the routers follow
+    a completed cutover and whatever serves after a concurrent
+    {!power_cycle}.  Blocking. *)
 
 val write_sentinels : live -> int -> unit
 (** Puts [sentinel-<i>] = [s<i>] for [i < n] through the first router,
     adding each acked key to [sentinels] as its ack returns.
     Blocking. *)
 
-val read_back : live -> string list
-(** Reads the acked sentinels back, oldest first, through the first
-    router; returns those that did not come back.  Blocking. *)
+val power_cycle : ?hosts_for:(int -> int list) -> live -> string list
+(** Crashes every server host, waits 275 ms, restarts them,
+    {!Service.recover}s the service on [serving]'s shard map, so a
+    shard that migrated comes back from its current hosts (deploy's
+    resilience, pipeline and recording; [hosts_for] as there), makes
+    it [serving], repoints, and reads the acked sentinels back through
+    the first router.  Returns those that did not come back, which it
+    also records in [lost].  Blocking; needs a disk. *)
 
-val verdicts :
-  ?tag:string -> Service.t -> crashed:int list -> (string * Checker.verdict) list
-(** {!Service.check}, each verdict labelled ["shard <i><tag>"]. *)
+val sentinels_failed : live -> bool
+(** The last {!power_cycle} lost an acked sentinel under
+    fsync-per-commit, where every acked write must survive: the run
+    fails.  Weaker policies may lose a trailing window. *)
 
-val judge : live -> crashed:int list -> (string * Checker.verdict) list
-(** The verdicts on a run's end state, given the hosts the run
-    crashed.  Without a {!power_cycle} this is
-    [verdicts deployed ~crashed].  After one, every replica of the
-    deployed service died, so its streams get only the base invariants
-    (every host counted crashed, durability off), labelled
-    ["shard <i>"]; the recovered service owns the shards and gets
-    {!verdicts} plus {!Service.check_migration}, labelled
+val judge : live -> (string * Checker.verdict) list
+(** The checker's verdicts on a run's end state, each labelled
+    ["shard <i>"], with the hosts in [crashed] exempt from durability.
+    After a {!power_cycle}, every replica of the deployed service died,
+    so its streams get only the base invariants (every host counted
+    crashed, durability off); the recovered service owns the shards and
+    gets {!Service.check} plus {!Service.check_migration}, labelled
     ["shard <i>'"], with [crashed] narrowed to the hosts still down. *)

@@ -162,10 +162,12 @@ let service_power_cycle_run =
               let now = Engine.now eng in
               if duration / 2 > now then
                 Engine.sleep eng ((duration / 2) - now);
-              let svc' = Testbed.power_cycle live in
-              let lost = Testbed.read_back live in
+              let lost = Testbed.power_cycle live in
               cycle :=
-                Some (live.Testbed.sentinels, lost, Service.recovery_report svc'));
+                Some
+                  ( live.Testbed.sentinels,
+                    lost,
+                    Service.recovery_report live.Testbed.serving ));
           (* The CLI's per-shard snapshot at the end of the (zero) ramp,
              kept so the run schedules the same events. *)
           let at_warmup = ref [||] in
@@ -208,13 +210,12 @@ let service_crash_run name config ~victim ~mix ~load =
       let tb = Testbed.create config in
       let cl = tb.Testbed.cluster in
       let eng = cl.Cluster.engine in
-      let victim = victim tb.Testbed.map in
       let result = ref None in
       Cluster.spawn cl (fun () ->
           let live = Testbed.deploy tb in
           Cluster.spawn cl (fun () ->
               Engine.sleep eng (Time.sec 1);
-              Machine.crash (Cluster.machine cl victim));
+              Testbed.crash live (victim live ~shard:0));
           let routers = live.Testbed.routers in
           let trial =
             Driver.drive cl ~map:tb.Testbed.map ~routers
@@ -236,7 +237,7 @@ let service_crash_run name config ~victim ~mix ~load =
                 ( Service.reads svc,
                   Service.writes_ok svc,
                   Service.writes_busy svc ),
-                Testbed.verdicts svc ~crashed:[ victim ] ));
+                Testbed.judge live ));
       Cluster.run ~until:(Time.sec 60) cl;
       digest !result )
 
@@ -255,7 +256,7 @@ let service_crash_runs =
         record = true;
         seed = 13;
       }
-      ~victim:(fun map -> Shard_map.sequencer_host map 0)
+      ~victim:Testbed.sequencer
       ~mix:(Mix.with_txn Mix.ycsb_a ~size_hint:3 0.1)
       ~load:(Driver.Closed 64);
     service_crash_run "service switch stale-reads crash-follower b1"
@@ -271,7 +272,7 @@ let service_crash_runs =
         record = true;
         seed = 19;
       }
-      ~victim:(fun map -> List.nth (Shard_map.replica_hosts map 0) 1)
+      ~victim:Testbed.follower
       ~mix:(Mix.read_update ~read:0.5 Keygen.Uniform)
       ~load:(Driver.Closed 8);
   ]
