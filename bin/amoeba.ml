@@ -566,6 +566,19 @@ let workload_cmd =
           Amoeba_net.Medium.set_conditions cl.Cluster.net net;
         let live = Testbed.deploy tb in
         let svc = live.deployed and rs = live.routers in
+        (* Each crash names a role of shard 0, resolved when it fires. *)
+        let crash what role () =
+          let h = role live ~shard:0 in
+          Printf.printf "crashing m%d (shard 0's %s) at t=%.1fs\n%!" h what
+            (Amoeba_sim.Time.to_sec (Engine.now eng));
+          Testbed.crash live h
+        in
+        let crashes =
+          (if crash_seq then [ crash "sequencer" Testbed.sequencer ] else [])
+          @
+          if crash_follower then [ crash "serving follower" Testbed.follower ]
+          else []
+        in
         (if power_cycle then
            Cluster.spawn cl (fun () ->
                Engine.sleep eng (duration / 4);
@@ -602,7 +615,10 @@ let workload_cmd =
                end
                else if lost <> [] then
                  Printf.printf
-                   "(allowed by the fsync policy's trailing window)\n%!"));
+                   "(allowed by the fsync policy's trailing window)\n%!";
+               (* the crashes hit the recovered service, not hosts that
+                  are down in the outage *)
+               List.iter (fun crash -> crash ()) crashes));
         let pp_hosts hs =
           String.concat "," (List.map (Printf.sprintf "m%d") hs)
         in
@@ -640,16 +656,13 @@ let workload_cmd =
                   Printf.printf "rebalance: shard %d move failed: %s\n%!"
                     mv.Rebalancer.mv_shard e)
             ();
-        let crash what h =
-          Cluster.spawn cl (fun () ->
-              Engine.sleep eng (duration / 2);
-              Printf.printf "crashing m%d (shard 0's %s) at t=%.1fs\n%!" h what
-                (Amoeba_sim.Time.to_sec (Engine.now eng));
-              Testbed.crash live h)
-        in
-        if crash_seq then crash "sequencer" (Shard_map.sequencer_host map 0);
-        if crash_follower then
-          crash "serving follower" (List.nth (Shard_map.replica_hosts map 0) 1);
+        if not power_cycle then
+          List.iter
+            (fun crash ->
+              Cluster.spawn cl (fun () ->
+                  Engine.sleep eng (duration / 2);
+                  crash ()))
+            crashes;
         let module D = Amoeba_loadgen.Driver in
         let load =
           match rate with Some rate -> D.Open rate | None -> D.Closed workers

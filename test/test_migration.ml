@@ -288,6 +288,79 @@ let test_migrate_rollback_on_dead_target () =
 
 (* ---------- the migration chaos swarm ---------- *)
 
+(* A crash of "shard 0's sequencer" is aimed when it fires: after a
+   migration at the new sequencer, after a power cycle at the recovered
+   one — never at a host that already left the group or lies dead in
+   the outage.  The victim must be in shard 0's serving replica set,
+   stay down, and be the crash the verdicts account for: writes acked
+   after it are missing from its stream, so only a judge that counts
+   it crashed passes durability. *)
+let test_crash_aims_at_serving_sequencer ~power () =
+  let tb =
+    Amoeba_loadgen.Testbed.(
+      create
+        {
+          default with
+          shards = 1;
+          hosts = 6;
+          replication = 3;
+          record = true;
+          disk = Some Cost_model.ssd;
+          fsync = Amoeba_grouplib.Rsm.Every_commit;
+          seed = 8;
+        })
+  in
+  let module Tb = Amoeba_loadgen.Testbed in
+  let cl = tb.Tb.cluster in
+  let result = ref None in
+  Cluster.spawn cl (fun () ->
+      let live = Tb.deploy tb in
+      let r0 = List.hd live.Tb.routers in
+      let put_all prefix =
+        for i = 0 to 19 do
+          ignore (Router.put r0 (Printf.sprintf "%s-%d" prefix i) "v")
+        done
+      in
+      Tb.write_sentinels live 10;
+      let cur = Shard_map.replica_hosts tb.Tb.map 0 in
+      let target =
+        List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts tb.Tb.map)
+        |> List.filteri (fun i _ -> i < List.length cur)
+      in
+      (match Tb.migrate live ~shard:0 ~hosts:target with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "migration failed: %s" e);
+      put_all "between";
+      if power then
+        Alcotest.(check (list string))
+          "no acked sentinel lost" [] (Tb.power_cycle live);
+      let victim = Tb.sequencer live ~shard:0 in
+      let serving = Shard_map.replica_hosts (Service.map live.Tb.serving) 0 in
+      Tb.crash live victim;
+      Engine.sleep cl.Cluster.engine (Time.ms 500);
+      put_all "after";
+      Engine.sleep cl.Cluster.engine (Time.sec 1);
+      result := Some (live, victim, serving, target));
+  Cluster.run ~until:(Time.sec 60) cl;
+  let live, victim, serving, target = Option.get !result in
+  Alcotest.(check bool) "victim serves shard 0" true (List.mem victim serving);
+  Alcotest.(check bool) "victim is a migration target" true
+    (List.mem victim target);
+  Alcotest.(check bool) "power cycle ran" power
+    (live.Tb.serving != live.Tb.deployed);
+  Alcotest.(check bool) "victim still down" false
+    (Machine.is_alive (Cluster.machine cl victim));
+  Alcotest.(check (list int)) "recorded crashed" [ victim ] live.Tb.crashed;
+  List.iter
+    (fun (label, v) ->
+      if not v.Checker.ok then
+        Alcotest.failf "%s %s: %s" label v.Checker.invariant v.Checker.detail)
+    (Tb.judge live);
+  Alcotest.(check bool) "uncounted, the crash breaks durability" true
+    (List.exists
+       (fun v -> v.Checker.invariant = "durability" && not v.Checker.ok)
+       (List.assoc 0 (Service.check live.Tb.serving ~crashed:[])))
+
 (* Same fabric palette as the other swarms: the paper's shared wire, a
    flat full-duplex switch, and a two-segment switch with a 2x
    oversubscribed uplink. *)
@@ -348,6 +421,10 @@ let suite =
       tc "sequencer-only move keeps follower state"
         test_migrate_sequencer_only;
       tc "dead destination rolls back" test_migrate_rollback_on_dead_target;
+      tc "crash after a migration hits the new sequencer"
+        (test_crash_aims_at_serving_sequencer ~power:false);
+      tc "crash after a power cycle hits the recovered sequencer"
+        (test_crash_aims_at_serving_sequencer ~power:true);
       QCheck_alcotest.to_alcotest ~rand prop_reassign_touches_exactly_one_shard;
       QCheck_alcotest.to_alcotest ~rand prop_reassign_sequence_keeps_spreading;
       QCheck_alcotest.to_alcotest ~rand prop_migration_swarm;
