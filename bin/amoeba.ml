@@ -738,8 +738,15 @@ let workload_cmd =
            else float_of_int batched_ops /. float_of_int batches)
           (agg (fun s -> s.Router.partial_flushes))
           (agg (fun s -> s.Router.batch_retries));
+        let writes_ok = Testbed.served live Service.writes_ok in
         Printf.printf "service:   %d reads, %d writes ok, %d busy rejections\n"
-          (Service.reads svc) (Service.writes_ok svc) (Service.writes_busy svc);
+          (Testbed.served live Service.reads)
+          writes_ok
+          (Testbed.served live Service.writes_busy);
+        if writes_ok < res.D.updates then begin
+          Printf.printf "FAIL: service writes ok miss completed updates\n%!";
+          failed := true
+        end;
         let m = cl.Cluster.net in
         Printf.printf
           "fabric:    %.1f%% utilisation, %d frames, %d KB, %d collisions, %d \
