@@ -410,7 +410,8 @@ let workload_cmd =
       value & flag
       & info [ "crash-sequencer" ]
           ~doc:
-            "Crash shard 0's sequencer machine halfway through and check the \
+            "Crash the machine sequencing shard 0 halfway through (with \
+             --power-cycle, once the service has recovered) and check the \
              chaos invariants per shard afterwards (requires resilience >= \
              1 for the durability check).  The group auto-heals while the \
              router keeps serving from the surviving replicas.")
@@ -420,7 +421,8 @@ let workload_cmd =
       value & flag
       & info [ "crash-follower" ]
           ~doc:
-            "Crash shard 0's first follower replica halfway through.  The \
+            "Crash shard 0's first follower replica when --crash-sequencer \
+             would fire.  The \
              follower is in the router's serving rotation (sequencer-host \
              endpoints are held in reserve), so this exercises the router's \
              probe/suspect/failover path; invariants are checked per shard \
@@ -514,30 +516,25 @@ let workload_cmd =
     in
     (* The map gives every shard min replication hosts, all distinct. *)
     let k = min replication hosts in
-    let bad_flags msg =
-      prerr_endline msg;
-      exit 2
-    in
+    let bad_flags fmt = Printf.kfprintf (fun _ -> exit 2) stderr (fmt ^^ "\n") in
     if power_cycle && disk = None then
       bad_flags "--power-cycle needs a disk (pass --disk)";
     if crash_follower && k < 2 then
       bad_flags "--crash-follower needs replication >= 2";
     if migrate && hosts - k < k then
-      bad_flags
-        (Printf.sprintf
-           "--migrate needs %d hosts free of shard 0's replicas; --hosts %d \
-            leaves %d"
-           k hosts (hosts - k));
+      bad_flags "--migrate needs %d hosts free of shard 0's replicas; \
+                 --hosts %d leaves %d" k hosts (hosts - k);
     let duration = Amoeba_sim.Time.ms duration_ms in
     let failed = ref false in
-    let crashing = crash_seq || crash_follower in
     (* Invariants are checked whenever the run disturbs the service —
        crashes, live migration, elastic rebalancing, a power cycle —
        not only on the crash paths: a migration that loses or
        duplicates a write must fail the run (exit 1), not just print
        throughput.  The record tap is a pure callback with no simulated
        cost, so enabling it does not move any measured figure. *)
-    let checking = crashing || migrate || rebalance || power_cycle in
+    let checking =
+      crash_seq || crash_follower || migrate || rebalance || power_cycle
+    in
     let tb =
       Testbed.create
         {
@@ -575,9 +572,7 @@ let workload_cmd =
         in
         let crashes =
           (if crash_seq then [ crash "sequencer" Testbed.sequencer ] else [])
-          @
-          if crash_follower then [ crash "serving follower" Testbed.follower ]
-          else []
+          @ if crash_follower then [ crash "serving follower" Testbed.follower ] else []
         in
         (if power_cycle then
            Cluster.spawn cl (fun () ->
@@ -590,32 +585,28 @@ let workload_cmd =
                  "power loss: all %d server hosts down at t=%.1fs\n%!" hosts
                  (Amoeba_sim.Time.to_sec (Engine.now eng));
                let lost = Testbed.power_cycle live in
+               let disk hr =
+                 Printf.sprintf "m%d:%s" hr.Service.hr_host
+                   (if hr.Service.hr_error = None then
+                      string_of_int hr.Service.hr_applied
+                    else "refused")
+               in
                List.iter
                  (fun sr ->
                    Printf.printf "recovered: shard %d from m%d at %d applied (%s)\n%!"
                      sr.Service.sr_shard sr.Service.sr_creator
                      sr.Service.sr_applied
-                     (String.concat ", "
-                        (List.map
-                           (fun hr ->
-                             Printf.sprintf "m%d:%s" hr.Service.hr_host
-                               (match hr.Service.hr_error with
-                               | Some _ -> "refused"
-                               | None -> string_of_int hr.Service.hr_applied))
-                           sr.Service.sr_hosts)))
+                     (String.concat ", " (List.map disk sr.Service.sr_hosts)))
                  (Service.recovery_report live.serving);
                Printf.printf "sentinels: %d acked, %d lost across the cycle%s\n%!"
                  (List.length live.sentinels) (List.length lost)
                  (if lost = [] then ""
                   else " (" ^ String.concat ", " (List.rev lost) ^ ")");
-               if Testbed.sentinels_failed live then begin
-                 Printf.printf
-                   "FAIL: acked writes lost under fsync-per-commit\n%!";
-                 failed := true
-               end
+               if Testbed.sentinels_failed live then (
+                 print_endline "FAIL: acked writes lost under fsync-per-commit";
+                 failed := true)
                else if lost <> [] then
-                 Printf.printf
-                   "(allowed by the fsync policy's trailing window)\n%!";
+                 print_endline "(allowed by the fsync policy's trailing window)";
                (* the crashes hit the recovered service, not hosts that
                   are down in the outage *)
                List.iter (fun crash -> crash ()) crashes));
@@ -626,11 +617,8 @@ let workload_cmd =
            Cluster.spawn cl (fun () ->
                Engine.sleep eng (duration / 3);
                let cur = Shard_map.replica_hosts (Service.map live.serving) 0 in
-               let tgt =
-                 List.filteri
-                   (fun i _ -> i < List.length cur)
-                   (List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts map))
-               in
+               let free = List.filter (fun h -> not (List.mem h cur)) (Shard_map.hosts map) in
+               let tgt = List.filteri (fun i _ -> i < List.length cur) free in
                let t0 = Engine.now eng in
                match Testbed.migrate live ~shard:0 ~hosts:tgt with
                | Ok () ->
@@ -658,10 +646,7 @@ let workload_cmd =
             ();
         if not power_cycle then
           List.iter
-            (fun crash ->
-              Cluster.spawn cl (fun () ->
-                  Engine.sleep eng (duration / 2);
-                  crash ()))
+            (fun c -> Cluster.spawn cl (fun () -> Engine.sleep eng (duration / 2); c ()))
             crashes;
         let module D = Amoeba_loadgen.Driver in
         let load =
@@ -671,10 +656,14 @@ let workload_cmd =
         let warmup = max 0 (min (Amoeba_sim.Time.ms ramp_ms) duration) in
         (* Per-shard requests served in the measured window: snapshot
            the counters when the warmup ends. *)
-        let at_warmup = ref (svc, Service.shard_ops svc) in
+        let shard_ops () =
+          List.init shards (fun i ->
+              Testbed.served live (fun s -> (Service.shard_ops s).(i)))
+        in
+        let at_warmup = ref (shard_ops ()) in
         Cluster.spawn cl (fun () ->
             Engine.sleep eng warmup;
-            at_warmup := (live.serving, Service.shard_ops live.serving));
+            at_warmup := shard_ops ());
         let res =
           D.drive cl ~map ~routers:rs
             {
@@ -688,14 +677,7 @@ let workload_cmd =
             }
             load
         in
-        let per_shard =
-          let s0, base = !at_warmup in
-          let ops = Array.map2 ( - ) (Service.shard_ops s0) base in
-          if live.serving != s0 then
-            Array.iteri (fun i c -> ops.(i) <- ops.(i) + c)
-              (Service.shard_ops live.serving);
-          Array.to_list ops
-        in
+        let per_shard = List.map2 ( - ) (shard_ops ()) !at_warmup in
         Format.printf "%a@.per shard: %s@." D.pp_trial res
           (String.concat ", " (List.map string_of_int per_shard));
         (* Every completed op was served at least once in the window. *)
@@ -840,7 +822,7 @@ let migration_chaos_cmd =
     in
     let o = Migration_chaos.run spec in
     Format.printf "%a@." Migration_chaos.pp_outcome o;
-    if not (Migration_chaos.ok o) then exit 1
+    if not o.Migration_chaos.o_ok then exit 1
   in
   Cmd.v
     (Cmd.info "migration-chaos"

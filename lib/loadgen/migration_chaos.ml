@@ -5,15 +5,6 @@ module Medium = Amoeba_net.Medium
 module Cost_model = Amoeba_net.Cost_model
 module Rsm = Amoeba_grouplib.Rsm
 
-(* The scenario: a 2-shard durable service on 7 hosts, a Zipf workload
-   running throughout, and a live migration of shard 0 from its
-   deployed replicas to two fresh hosts a third of the way in — while
-   the fault plan crashes the source sequencer, crashes the
-   destination head, and/or power-cycles the whole cluster a few
-   hundred ms into the transfer.  Deterministic in the seed, like the
-   other chaos runners, so any failing case replays from its printed
-   CLI line. *)
-
 type spec = {
   mc_seed : int;
   mc_fabric : Medium.spec;
@@ -49,8 +40,6 @@ type outcome = {
   o_verdicts : (string * Checker.verdict) list;
   o_ok : bool;
 }
-
-let ok o = o.o_ok
 
 let hosts = 7
 let shards = 2
@@ -103,17 +92,13 @@ let run spec =
   let d_dst = off () in
   let d_pc = off () in
   let t_m = duration / 3 in
-  let mig_result = ref None in
-  let live_r = ref None in
-  let completed = ref 0 in
-  let failed = ref 0 in
-  let verdicts = ref [] in
+  let mig_result = ref None and live_r = ref None in
+  let completed = ref 0 and failed = ref 0 and verdicts = ref [] in
   Cluster.spawn cl (fun () ->
       if spec.mc_hostile then
         Medium.set_conditions cl.Cluster.net adversarial_net;
       let live = Testbed.deploy tb in
       live_r := Some live;
-      let rs = live.Testbed.routers in
       (if spec.mc_power_cycle then
          (* sentinel writes before the migration: the acked ones are
             obligations the mid-migration power loss must not revoke *)
@@ -139,14 +124,11 @@ let run spec =
                 sit on the old replicas, the new ones, or both — read
                 the union and let the longest-log election decide *)
              let union_hosts shard =
-               let base = Shard_map.replica_hosts map shard in
-               if shard = 0 then
-                 base @ List.filter (fun h -> not (List.mem h base)) target
-               else base
+               Shard_map.replica_hosts map shard @ if shard = 0 then target else []
              in
              ignore (Testbed.power_cycle ~hosts_for:union_hosts live)));
       let res =
-        Driver.drive cl ~map ~routers:rs
+        Driver.drive cl ~map ~routers:live.Testbed.routers
           {
             Driver.default with
             mix = Mix.read_update ~read:0.25 (Keygen.Zipf 0.99);
@@ -170,7 +152,7 @@ let run spec =
          liveness gap of the protocol, not a safety violation. *)
       if spec.mc_hostile then Medium.set_conditions cl.Cluster.net Medium.clean;
       for shard = 0 to shards - 1 do
-        ignore (Router.put (List.hd rs) (flush_key map shard 0) "flush")
+        ignore (Router.put (List.hd live.Testbed.routers) (flush_key map shard 0) "flush")
       done;
       Engine.sleep eng (Time.sec 1);
       verdicts := Testbed.judge live);

@@ -43,21 +43,21 @@ type outcome = {
       (** [None] if the run ended before the attempt returned *)
   o_completed : int;  (** workload ops acknowledged *)
   o_failed : int;
-  o_crashed : int list;  (** hosts killed (and, sans power cycle, left dead) *)
+  o_crashed : int list;
+      (** hosts {!Testbed.crash} killed, oldest first; a crash that fired
+          while its host was down (in the power outage) is not listed *)
   o_recovered : bool;  (** a mid-migration power loss was recovered *)
   o_sentinels_acked : int;
   o_sentinels_lost : int;
   o_verdicts : (string * Checker.verdict) list;
       (** per shard; primed labels are the recovered service's *)
   o_ok : bool;
+      (** every verdict holds and no acked sentinel was lost under
+          fsync-per-commit ({!Testbed.sentinels_failed}) *)
 }
 
 val run : spec -> outcome
 (** One deterministic run; builds its own cluster. *)
-
-val ok : outcome -> bool
-(** Every verdict holds and (under fsync-per-commit) no acked sentinel
-    was lost across the power cycle. *)
 
 val replay_line : spec -> string
 (** The CLI invocation that replays this spec. *)

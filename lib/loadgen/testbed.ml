@@ -99,15 +99,8 @@ let deploy bed =
           ~stale_reads:c.stale_reads ~map:bed.map
           ~endpoints:(Service.endpoints svc) ())
   in
-  {
-    bed;
-    deployed = svc;
-    routers;
-    serving = svc;
-    sentinels = [];
-    lost = [];
-    crashed = [];
-  }
+  { bed; deployed = svc; routers; serving = svc; sentinels = []; lost = [];
+    crashed = [] }
 
 let repoint l =
   List.iter
@@ -115,26 +108,17 @@ let repoint l =
     l.routers
 
 let served l f =
-  if l.serving == l.deployed then f l.deployed
-  else f l.deployed + f l.serving
+  f l.deployed + if l.serving == l.deployed then 0 else f l.serving
 
 let sequencer l ~shard = Service.sequencer_of l.serving shard
 
 let follower l ~shard =
   let seq = sequencer l ~shard in
-  match
-    List.filter (( <> ) seq)
-      (Shard_map.replica_hosts (Service.map l.serving) shard)
-  with
-  | h :: _ -> h
-  | [] -> invalid_arg "Testbed.follower: a single-replica shard"
+  List.find (( <> ) seq) (Shard_map.replica_hosts (Service.map l.serving) shard)
 
 let crash l h =
   let m = Cluster.machine l.bed.cluster h in
-  if Machine.is_alive m then begin
-    Machine.crash m;
-    l.crashed <- h :: l.crashed
-  end
+  if Machine.is_alive m then (Machine.crash m; l.crashed <- h :: l.crashed)
 
 let migrate ?timeout l ~shard ~hosts =
   let res = Service.migrate_shard l.serving ~shard ?timeout ~hosts () in
@@ -166,8 +150,6 @@ let power_cycle ?hosts_for l =
       ~resilience:c.resilience ~pipeline:c.pipeline_depth ~record:c.record
       ?hosts_for ();
   repoint l;
-  (* read the acked sentinels back, oldest first, through the first
-     router *)
   let r0 = List.hd l.routers in
   l.lost <-
     List.filter
@@ -178,39 +160,34 @@ let power_cycle ?hosts_for l =
 let sentinels_failed l =
   l.lost <> [] && l.bed.config.fsync = Rsm.Every_commit
 
-let verdicts ?(tag = "") svc ~crashed =
-  List.concat_map
-    (fun (shard, vs) ->
-      List.map (fun v -> (Printf.sprintf "shard %d%s" shard tag, v)) vs)
-    (Service.check svc ~crashed)
+let label tag (shard, vs) =
+  List.map (fun v -> (Printf.sprintf "shard %d%s" shard tag, v)) vs
 
 (* After a power cycle every pre-cut replica is dead, so ownership
    belongs to the recovered service, judged on the hosts {!crash}
-   killed that are still down at the end; the pre-cut streams still owe the base invariants,
-   including total order across the cutover. *)
+   killed that are still down at the end; the pre-cut streams still
+   owe the base invariants, including total order across the
+   cutover. *)
 let judge l =
-  if l.serving == l.deployed then verdicts l.deployed ~crashed:l.crashed
+  if l.serving == l.deployed then
+    List.concat_map (label "") (Service.check l.deployed ~crashed:l.crashed)
   else
     let cl = l.bed.cluster and svc = l.deployed in
     let shards = List.init (Shard_map.shards l.bed.map) Fun.id in
     let down =
-      List.filter
-        (fun h -> not (Machine.is_alive (Cluster.machine cl h)))
-        l.crashed
+      List.filter (fun h -> not (Machine.is_alive (Cluster.machine cl h))) l.crashed
     in
     List.concat_map
       (fun shard ->
-        List.map
-          (fun v -> (Printf.sprintf "shard %d" shard, v))
-          (Checker.run ~durability_applies:false
-             ~streams:
-               (Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
-             ~completed:(Service.completed svc ~shard)
-             ()))
+        label ""
+          ( shard,
+            Checker.run ~durability_applies:false
+              ~streams:(Service.checker_streams svc ~shard ~crashed:(fun _ -> true))
+              ~completed:(Service.completed svc ~shard)
+              () ))
       shards
-    @ verdicts ~tag:"'" l.serving ~crashed:down
-    @ List.map
+    @ List.concat_map (label "'") (Service.check l.serving ~crashed:down)
+    @ List.concat_map
         (fun shard ->
-          ( Printf.sprintf "shard %d'" shard,
-            Service.check_migration l.serving ~shard ~crashed:down ))
+          label "'" (shard, [ Service.check_migration l.serving ~shard ~crashed:down ]))
         shards

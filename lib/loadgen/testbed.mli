@@ -1,14 +1,9 @@
-(** The sharded-service testbed: builds a cluster for the
-    {!Amoeba_service.Service}, deploys it with its routers, and owns
-    the faults a run aims at it — the bring-up and fault choreography
-    the {!Driver}, {!Migration_chaos}, the bench targets and the CLI
-    share.  It decides which host a role names when a crash fires
-    ({!sequencer}, {!follower}), which hosts count as crashed
-    ({!crash}), what a migration and a power cycle owe afterwards
-    ({!migrate}, {!power_cycle}, {!sentinels_failed}), which service is
-    serving, and how the end state is judged ({!judge}).  The caller
-    keeps the timings (plain [Engine.sleep]s in its own fibers), the
-    link conditions and the load. *)
+(** The sharded-service testbed that the {!Driver}, {!Migration_chaos},
+    the bench targets and the CLI share: it builds and deploys a
+    {!Amoeba_service.Service} with its routers, aims crashes,
+    migrations and power cycles at it, remembers whom it crashed, and
+    judges the end state.  The caller keeps the timings ([Engine.sleep]s
+    in its own fibers), the link conditions and the load. *)
 
 open Amoeba_harness
 open Amoeba_service
@@ -57,9 +52,7 @@ type live = private {
   mutable serving : Service.t;
       (** what the routers point at: [deployed] until {!power_cycle} *)
   mutable sentinels : string list;  (** acked so far, newest first *)
-  mutable lost : string list;
-      (** acked sentinels the last {!power_cycle} did not read back,
-          oldest first *)
+  mutable lost : string list;  (** acked, not read back after {!power_cycle} *)
   mutable crashed : int list;  (** hosts {!crash} killed, newest first *)
 }
 
@@ -71,23 +64,20 @@ val repoint : live -> unit
 (** Hands [serving]'s endpoints to every router. *)
 
 val served : live -> (Service.t -> int) -> int
-(** A service counter summed over every service that served: [deployed]
-    and, after a {!power_cycle}, the recovered [serving] one. *)
+(** A service counter summed over [deployed] and, after a
+    {!power_cycle}, the recovered service. *)
 
 val sequencer : live -> shard:int -> int
-(** The host of shard [shard]'s sequencer on the serving service at the
-    time of the call, per its group's own view
-    ({!Service.sequencer_of}): after a migration the new sequencer,
-    after a power cycle the recovered one. *)
+(** Shard [shard]'s sequencer host on the serving service now, per its
+    group's own view ({!Service.sequencer_of}). *)
 
 val follower : live -> shard:int -> int
-(** Shard [shard]'s first replica host on the serving service's map
-    that is not its {!sequencer}, at the time of the call.
-    @raise Invalid_argument for a single-replica shard. *)
+(** Shard [shard]'s first host on the serving map that is not its
+    {!sequencer} now.  @raise Not_found on a single-replica shard. *)
 
 val crash : live -> int -> unit
-(** Crashes host [h] and records it in [crashed] if it is alive; a host
-    already down is left alone and not recorded. *)
+(** Crashes host [h] and adds it to [crashed] if it is alive; a host
+    already down is left alone. *)
 
 val migrate :
   ?timeout:Amoeba_sim.Time.t ->
@@ -95,10 +85,8 @@ val migrate :
   shard:int ->
   hosts:int list ->
   (unit, string) result
-(** {!Service.migrate_shard} on the serving service ([timeout] as
-    there), then {!repoint} whatever the result, so the routers follow
-    a completed cutover and whatever serves after a concurrent
-    {!power_cycle}.  Blocking. *)
+(** {!Service.migrate_shard} on the serving service, then {!repoint}
+    whatever the result.  Blocking. *)
 
 val write_sentinels : live -> int -> unit
 (** Puts [sentinel-<i>] = [s<i>] for [i < n] through the first router,
@@ -110,20 +98,19 @@ val power_cycle : ?hosts_for:(int -> int list) -> live -> string list
     {!Service.recover}s the service on [serving]'s shard map, so a
     shard that migrated comes back from its current hosts (deploy's
     resilience, pipeline and recording; [hosts_for] as there), makes
-    it [serving], repoints, and reads the acked sentinels back through
-    the first router.  Returns those that did not come back, which it
-    also records in [lost].  Blocking; needs a disk. *)
+    it [serving], repoints, and reads the sentinels back through the
+    first router.  Returns, and records in [lost], those that did not
+    come back.  Blocking; needs a disk. *)
 
 val sentinels_failed : live -> bool
-(** The last {!power_cycle} lost an acked sentinel under
-    fsync-per-commit, where every acked write must survive: the run
-    fails.  Weaker policies may lose a trailing window. *)
+(** {!power_cycle} lost an acked sentinel under fsync-per-commit, which
+    fails the run; weaker policies may lose a trailing window. *)
 
 val judge : live -> (string * Checker.verdict) list
-(** The checker's verdicts on a run's end state, each labelled
-    ["shard <i>"], with the hosts in [crashed] exempt from durability.
+(** The checker's verdicts on the end state, labelled ["shard <i>"]:
+    {!Service.check} with the hosts in [crashed] counted crashed.
     After a {!power_cycle}, every replica of the deployed service died,
-    so its streams get only the base invariants (every host counted
-    crashed, durability off); the recovered service owns the shards and
-    gets {!Service.check} plus {!Service.check_migration}, labelled
-    ["shard <i>'"], with [crashed] narrowed to the hosts still down. *)
+    so its streams get only the base invariants (durability off); the
+    recovered service owns the shards and gets {!Service.check} plus
+    {!Service.check_migration}, labelled ["shard <i>'"], with
+    [crashed] narrowed to the hosts still down. *)

@@ -397,7 +397,7 @@ let swarm_case =
 let prop_migration_swarm =
   QCheck.Test.make
     ~name:"swarm: migration-safety holds under mid-migration chaos" ~count:120
-    swarm_case (fun spec -> Migration_chaos.ok (Migration_chaos.run spec))
+    swarm_case (fun spec -> (Migration_chaos.run spec).Migration_chaos.o_ok)
 
 let prop_migration_chaos_deterministic =
   QCheck.Test.make ~name:"migration chaos replays bit-identically" ~count:4
