@@ -120,6 +120,8 @@ let crash l h =
   let m = Cluster.machine l.bed.cluster h in
   if Machine.is_alive m then (Machine.crash m; l.crashed <- h :: l.crashed)
 
+(* A power cycle may recover the service while the migration runs;
+   repointing after it returns aims at whatever serves by then. *)
 let migrate ?timeout l ~shard ~hosts =
   let res = Service.migrate_shard l.serving ~shard ?timeout ~hosts () in
   repoint l;
