@@ -127,15 +127,6 @@ let migrate ?timeout l ~shard ~hosts =
   repoint l;
   res
 
-let write_sentinels l n =
-  let r0 = List.hd l.routers in
-  for i = 0 to n - 1 do
-    let k = Printf.sprintf "sentinel-%d" i in
-    match Router.put r0 k (Printf.sprintf "s%d" i) with
-    | Router.Written -> l.sentinels <- k :: l.sentinels
-    | _ -> ()
-  done
-
 let power_cycle ?hosts_for l =
   let { config = c; cluster = cl; durable; _ } = l.bed in
   let durable =
@@ -158,6 +149,15 @@ let power_cycle ?hosts_for l =
       (fun k -> match Router.get r0 k with Router.Value _ -> false | _ -> true)
       (List.rev l.sentinels);
   l.lost
+
+let write_sentinels l n =
+  let r0 = List.hd l.routers in
+  for i = 0 to n - 1 do
+    let k = Printf.sprintf "sentinel-%d" i in
+    match Router.put r0 k (Printf.sprintf "s%d" i) with
+    | Router.Written -> l.sentinels <- k :: l.sentinels
+    | _ -> ()
+  done
 
 let sentinels_failed l =
   l.lost <> [] && l.bed.config.fsync = Rsm.Every_commit
